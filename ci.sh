@@ -29,10 +29,9 @@ python3 - <<'EOF'
 import json
 b = json.load(open("target/ssmdvfs-artifacts/BENCH_train.json"))
 for key in ("epochs_per_sec", "parallel_epochs_per_sec", "train_speedup",
-            "rfe_serial_secs", "rfe_parallel_secs",
-            "infer_dense_ns", "infer_engine_ns", "infer_quantized_ns"):
+            "rfe_serial_secs", "rfe_parallel_secs"):
     assert b[key] > 0, (key, b)
-assert b["smoke"] is True and b["engine_sparse"] is True, b
+assert b["smoke"] is True, b
 assert b["parallel_identical"] is True, "parallel SGD diverged from serial"
 assert b["grad_shards_per_batch"] > 1, b
 # The >=1.3x speedup gate only means something when the container actually
@@ -84,25 +83,22 @@ print(f"serve baseline: {b['single_throughput_rps']:.0f} -> "
       f"p99 {b['batched_p99_us']:.0f} us")
 EOF
 
-echo "==> decide perf baseline (smoke, plan beats unfused path, decisions identical)"
+echo "==> decide perf baseline (smoke, plan beats reference oracle, decisions identical)"
 cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --decide
 python3 - <<'EOF'
 import json
 b = json.load(open("target/ssmdvfs-artifacts/BENCH_decide.json"))
-for key in ("kernel_dense_ns", "kernel_csr_ns", "kernel_int8_ns",
+for key in ("kernel_int8_ns",
             "reference_decision_ns", "plan_decision_ns", "plan_quantized_ns",
             "plan_memo_hit_ns", "memo_hit_rate"):
     assert b[key] > 0, (key, b)
-assert b["smoke"] is True and b["kernel_csr_sparse"] is True, b
+assert b["smoke"] is True, b
 assert b["decisions_identical"] is True, "plan/memo/reference decisions diverged"
 assert b["plan_decision_ns"] < b["reference_decision_ns"], \
-    f"fused plan must beat the unfused reference path: {b}"
-assert b["kernel_int8_ns"] < b["kernel_dense_ns"], \
-    f"INT8 kernel must beat the dense f32 kernel: {b}"
+    f"fused plan must beat the allocating reference oracle: {b}"
 assert b["plan_memo_hit_ns"] < b["plan_decision_ns"], b
 assert b["memo_hits"] > 0, "phase-structured replay produced no memo hits"
-print(f"decide baseline: kernels {b['kernel_dense_ns']:.0f}/"
-      f"{b['kernel_csr_ns']:.0f}/{b['kernel_int8_ns']:.0f} ns dense/csr/int8; "
+print(f"decide baseline: int8 kernel {b['kernel_int8_ns']:.0f} ns; "
       f"decision {b['reference_decision_ns']:.0f} ns reference -> "
       f"{b['plan_decision_ns']:.0f} ns plan, {b['plan_memo_hit_ns']:.0f} ns "
       f"memo hit ({b['memo_hit_rate']*100:.1f}% hit rate, identical)")

@@ -1,16 +1,21 @@
 //! Single-decision latency of the compiled fast path — the criterion
 //! counterpart of `perf_baseline --decide`.
 //!
-//! Compares the unfused reference (allocating `CombinedModel` methods, the
-//! pre-plan governor arithmetic) against the fused [`DecisionPlan`] in its
-//! exact-f32, quantized-INT8, and memo-hit configurations. The paper's
-//! microsecond-scale epoch budget leaves roughly 1 µs for the whole control
-//! step; every variant here must sit far inside that.
+//! Compares the reference oracle (allocating `CombinedModel` methods)
+//! against the fused [`DecisionPlan`] in its exact-f32, quantized-INT8, and
+//! memo-hit configurations, and runs the paper's full architecture against
+//! its compressed, pruned one on the plan — the software side of the
+//! Section V-D argument that one inference fits comfortably inside a 10 µs
+//! epoch. The microsecond-scale epoch budget leaves roughly 1 µs for the
+//! whole control step; every variant here must sit far inside that.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CounterId, EpochCounters, GpuConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ssmdvfs::plan::DecisionPlan;
-use ssmdvfs::{CombinedModel, SsmdvfsConfig};
+use ssmdvfs::{CombinedModel, ModelArch, SsmdvfsConfig};
+use tinynn::{prune_two_stage, Mlp};
 
 fn counters(instrs: f64, stall_frac: f64) -> EpochCounters {
     let mut c = EpochCounters::zeroed();
@@ -24,6 +29,24 @@ fn counters(instrs: f64, stall_frac: f64) -> EpochCounters {
     c
 }
 
+/// The synthetic model's input plumbing around seeded heads of `arch`;
+/// `compressed` two-stage prunes them as the paper's final model is.
+fn model_for(arch: &ModelArch, num_ops: usize, compressed: bool) -> CombinedModel {
+    let mut model = CombinedModel::synthetic(num_ops, 7);
+    let f = model.feature_set.len();
+    let mut rng = StdRng::seed_from_u64(7);
+    let sizes = |input: usize, hidden: &[usize], output: usize| {
+        [&[input][..], hidden, &[output][..]].concat()
+    };
+    model.decision = Mlp::new(&sizes(f + 1, &arch.decision_hidden, num_ops), &mut rng);
+    model.calibrator = Mlp::new(&sizes(f + 2, &arch.calibrator_hidden, 1), &mut rng);
+    if compressed {
+        model.decision = prune_two_stage(&model.decision, 0.6, 0.9);
+        model.calibrator = prune_two_stage(&model.calibrator, 0.6, 0.9);
+    }
+    model
+}
+
 fn bench_decision_path(c: &mut Criterion) {
     let table = GpuConfig::small_test().vf_table;
     let model = CombinedModel::synthetic(table.len(), 7);
@@ -33,9 +56,9 @@ fn bench_decision_path(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("decision_path");
 
-    // Unfused reference: the allocating model methods, as the governor ran
-    // them before the plan existed.
-    group.bench_function("reference_unfused", |b| {
+    // Reference oracle: the allocating model methods the plan is tested
+    // against.
+    group.bench_function("reference_oracle", |b| {
         let features = model.feature_set.extract(&active);
         b.iter(|| {
             let logits = model.decision_logits(&features, 0.1);
@@ -77,6 +100,24 @@ fn bench_decision_path(c: &mut Criterion) {
         plan.decide_slot(&mut slot, &starved, table.len());
         b.iter(|| plan.decide_slot(&mut slot, &starved, table.len()).op);
     });
+
+    // Section V-D: the paper's full architecture (5 + 4 twenty-neuron
+    // layers) against the compressed, pruned one, exact path, memo off.
+    let full = model_for(&ModelArch::paper_full(), table.len(), false);
+    let compressed = model_for(&ModelArch::paper_compressed(), table.len(), true);
+    for (name, model) in [("plan_paper_full", &full), ("plan_paper_compressed", &compressed)] {
+        group.bench_function(name, |b| {
+            let mut plan = DecisionPlan::compile(model, &config);
+            plan.set_memo(false);
+            let mut slot = plan.new_slot();
+            let mut flip = false;
+            b.iter(|| {
+                flip = !flip;
+                let c = if flip { &active } else { &starved };
+                plan.decide_slot(&mut slot, c, table.len()).op
+            });
+        });
+    }
 
     group.finish();
 }

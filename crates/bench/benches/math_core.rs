@@ -1,11 +1,11 @@
-//! Math-core microbenches: naive vs cache-blocked matmul, and the three
-//! single-sample forward paths of the compressed decision head (dense
-//! `Mlp`, compiled `InferenceNet`, int8 `QuantizedMlp`).
+//! Math-core microbenches: the naive vs cache-blocked matmul kernel on the
+//! shapes training hits. Single-decision inference is benched on the
+//! compiled plan (`decision_path`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinynn::{prune_magnitude, InferScratch, InferenceNet, Matrix, Mlp, QuantizedMlp};
+use tinynn::Matrix;
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
@@ -21,14 +21,9 @@ fn bench_matmul(c: &mut Criterion) {
     // loop hits thousands of times per run.
     let a = random_matrix(64, 20, &mut rng);
     let b = random_matrix(20, 20, &mut rng);
-    let bt = b.transpose();
-    let mut out = Matrix::zeros(64, 20);
     let mut group = c.benchmark_group("math/matmul_64x20x20");
     group.bench_function("naive", |bch| bch.iter(|| a.matmul_naive(&b)));
     group.bench_function("blocked", |bch| bch.iter(|| a.matmul(&b)));
-    group.bench_function("blocked_transposed_into", |bch| {
-        bch.iter(|| a.matmul_transposed_into(&bt, &mut out))
-    });
     group.finish();
 
     // A full-dataset validation pass through the widest candidate layer.
@@ -40,25 +35,5 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_forward(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(11);
-    let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
-    let mut pruned = mlp.clone();
-    prune_magnitude(&mut pruned, 0.8);
-    let mut engine = InferenceNet::compile(&pruned);
-    assert!(engine.is_sparse(), "an 80%-pruned net should compile sparse");
-    let quant = QuantizedMlp::quantize(&mlp);
-    let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
-    let mut scratch = InferScratch::new();
-
-    let mut group = c.benchmark_group("math/forward_one_5x12");
-    group.bench_function("dense", |bch| bch.iter(|| mlp.forward_one_into(&x, &mut scratch)[0]));
-    group.bench_function("engine_sparse", |bch| bch.iter(|| engine.infer(&x)[0]));
-    group.bench_function("quantized", |bch| {
-        bch.iter(|| quant.forward_one_into(&x, &mut scratch)[0])
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_matmul, bench_forward);
+criterion_group!(benches, bench_matmul);
 criterion_main!(benches);

@@ -8,9 +8,8 @@
 //!   `BENCH_datagen.json`.
 //! * `--train`: training-loop throughput (epochs/sec on the paper-full
 //!   decision head, serial vs the 4-job sharded-gradient engine with a
-//!   byte-identity check), RFE wall-clock at 1 vs 8 workers, and single-inference
-//!   latency of the compressed 5×12 net (dense vs compiled engine vs
-//!   quantized), written to `BENCH_train.json`.
+//!   byte-identity check) and RFE wall-clock at 1 vs 8 workers, written to
+//!   `BENCH_train.json`.
 //! * `--sim`: simulation-engine throughput — naive-tick vs cycle-skip
 //!   cycles/sec on a memory-bound workload (byte-identical results, checked
 //!   here too), `Arc`-shared snapshot cost, and replay-cache cold vs warm
@@ -19,9 +18,9 @@
 //!   service at `--max-batch 1` (single-request baseline) vs `32`, with
 //!   p50/p99 decision latency, batch occupancy and a decision-stream
 //!   identity check between the two modes — written to `BENCH_serve.json`.
-//! * `--decide`: single-decision latency — ns/inference for the dense, CSR
-//!   and INT8 kernels on the compressed decision head, ns/decision for the
-//!   unfused reference path vs the compiled `DecisionPlan` (exact, INT8 and
+//! * `--decide`: single-decision latency — ns/inference for the INT8
+//!   kernel on the compressed decision head, ns/decision for the allocating
+//!   model-method oracle vs the compiled `DecisionPlan` (exact, INT8 and
 //!   memo-hit variants), plus the memo hit rate and a decision-stream
 //!   identity check on a phase-structured replay — written to
 //!   `BENCH_decide.json`.
@@ -47,9 +46,8 @@ use ssmdvfs::{
 };
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
-    grad_shards, prune_magnitude, train_classifier_parallel_with, train_classifier_with,
-    ClassificationData, InferScratch, InferenceNet, Int8Net, Matrix, Mlp, QuantizedMlp,
-    TrainConfig, TrainPool, TrainScratch,
+    grad_shards, train_classifier_parallel_with, train_classifier_with, ClassificationData,
+    Int8Net, Matrix, Mlp, TrainConfig, TrainPool, TrainScratch,
 };
 
 #[derive(Serialize)]
@@ -97,14 +95,6 @@ struct TrainBaseline {
     rfe_serial_secs: f64,
     rfe_parallel_secs: f64,
     rfe_speedup: f64,
-    /// ns per single-sample forward through the compressed 5×12 decision
-    /// head: dense `Mlp`, compiled `InferenceNet` on the pruned net, and
-    /// the int8 `QuantizedMlp`.
-    infer_dense_ns: f64,
-    infer_engine_ns: f64,
-    infer_quantized_ns: f64,
-    /// Whether the pruned engine compiled to the CSR sparse path.
-    engine_sparse: bool,
 }
 
 #[derive(Serialize)]
@@ -433,39 +423,6 @@ fn time_rfe(smoke: bool, jobs: usize) -> (usize, usize, f64, f64) {
     (n, repeats, serial_secs, parallel_secs)
 }
 
-fn time_inference(smoke: bool) -> (f64, f64, f64, bool) {
-    let iters = if smoke { 20_000 } else { 2_000_000 };
-    let mut rng = StdRng::seed_from_u64(7);
-    // Compressed decision head: 5 features + preset in, 12/12 hidden.
-    let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
-    let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
-
-    let mut scratch = InferScratch::new();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(mlp.forward_one_into(std::hint::black_box(&x), &mut scratch));
-    }
-    let dense_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let mut pruned = mlp.clone();
-    prune_magnitude(&mut pruned, 0.8);
-    let mut engine = InferenceNet::compile(&pruned);
-    let engine_sparse = engine.is_sparse();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(engine.infer(std::hint::black_box(&x)));
-    }
-    let engine_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let quant = QuantizedMlp::quantize(&mlp);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(quant.forward_one_into(std::hint::black_box(&x), &mut scratch));
-    }
-    let quant_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    (dense_ns, engine_ns, quant_ns, engine_sparse)
-}
-
 fn run_train(smoke: bool) {
     let workers = effective_jobs(0);
     let rfe_jobs = 8;
@@ -478,9 +435,6 @@ fn run_train(smoke: bool) {
     eprintln!("[perf_baseline] rfe wall-clock at 1 vs {rfe_jobs} workers");
     let (rfe_samples, rfe_importance_repeats, rfe_serial_secs, rfe_parallel_secs) =
         time_rfe(smoke, rfe_jobs);
-    eprintln!("[perf_baseline] single-inference latency of the compressed net");
-    let (infer_dense_ns, infer_engine_ns, infer_quantized_ns, engine_sparse) =
-        time_inference(smoke);
 
     let baseline = TrainBaseline {
         smoke,
@@ -499,10 +453,6 @@ fn run_train(smoke: bool) {
         rfe_serial_secs,
         rfe_parallel_secs,
         rfe_speedup: rfe_serial_secs / rfe_parallel_secs,
-        infer_dense_ns,
-        infer_engine_ns,
-        infer_quantized_ns,
-        engine_sparse,
     };
     assert!(
         baseline.parallel_identical,
@@ -513,7 +463,7 @@ fn run_train(smoke: bool) {
     std::fs::write(&path, &json).expect("baseline must be writable");
     println!("{json}");
     println!(
-        "[perf_baseline] {:.1} epochs/s serial vs {:.1} at {} jobs ({:.2}x, {} shards/batch, identical={}); RFE {:.2}s serial vs {:.2}s at {} workers ({:.2}x); inference {:.0} ns dense / {:.0} ns engine / {:.0} ns quantized -> {}",
+        "[perf_baseline] {:.1} epochs/s serial vs {:.1} at {} jobs ({:.2}x, {} shards/batch, identical={}); RFE {:.2}s serial vs {:.2}s at {} workers ({:.2}x) -> {}",
         baseline.epochs_per_sec,
         baseline.parallel_epochs_per_sec,
         train_jobs,
@@ -524,9 +474,6 @@ fn run_train(smoke: bool) {
         baseline.rfe_parallel_secs,
         rfe_jobs,
         baseline.rfe_speedup,
-        baseline.infer_dense_ns,
-        baseline.infer_engine_ns,
-        baseline.infer_quantized_ns,
         path.display()
     );
 }
@@ -697,16 +644,13 @@ struct DecideBaseline {
     /// rounds to shed scheduler noise).
     iters: usize,
     /// ns per single forward through the compressed [6,12,12,6] decision
-    /// head: the dense `Mlp`, the CSR engine on the 80 %-pruned net (the
-    /// same measurement BENCH_train tracks) and the flat-arena INT8 kernel.
-    kernel_dense_ns: f64,
-    kernel_csr_ns: f64,
+    /// head on the flat-arena INT8 kernel.
     kernel_int8_ns: f64,
-    /// Whether the pruned head actually compiled to the CSR program.
-    kernel_csr_sparse: bool,
-    /// ns per complete governor decision (feature extraction, calibration,
-    /// both heads, decode) through the unfused allocating model-method
-    /// path — what every decision cost before the compiled plan.
+    /// ns per complete decision (feature extraction, calibration, both
+    /// heads, decode) through the allocating model-method oracle that
+    /// `tests/plan_equivalence.rs` checks the plan against: per-call `Vec`s
+    /// and a one-row batched forward pass per head. It prices the oracle,
+    /// not a production path.
     reference_decision_ns: f64,
     /// Same complete decision through the compiled `DecisionPlan` arena
     /// (exact f32 programs, memo disabled).
@@ -723,7 +667,7 @@ struct DecideBaseline {
     memo_misses: u64,
     /// Fraction of replay decisions answered by the memo.
     memo_hit_rate: f64,
-    /// Whether plan-with-memo, plan-without-memo and the unfused reference
+    /// Whether plan-with-memo, plan-without-memo and the reference oracle
     /// produced byte-identical decision streams on the replay.
     decisions_identical: bool,
 }
@@ -760,9 +704,9 @@ fn decide_counters(epoch: usize, phase_len: usize) -> EpochCounters {
     c
 }
 
-/// The unfused reference decision: allocating `CombinedModel` methods plus
-/// a replica of the controller's calibration state machine — the exact
-/// arithmetic (and cost) of the pre-plan governor hot path.
+/// The reference decision: allocating `CombinedModel` methods plus a
+/// replica of the controller's calibration state machine — the exact
+/// arithmetic of the plan, computed the slow, independent way.
 struct ReferenceDecider {
     state: (f64, Option<f32>, f64), // (effective_preset, predicted, err_ewma)
     config: SsmdvfsConfig,
@@ -815,27 +759,16 @@ fn run_decide(smoke: bool) {
     let phase_len = 8;
     eprintln!("[perf_baseline] decide: kernel + fused-plan latency (smoke={smoke})");
 
-    // --- Kernel micro-latencies on the compressed decision head. ---
+    // --- INT8 kernel micro-latency on the compressed decision head. ---
     let mut rng = StdRng::seed_from_u64(7);
     let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
     let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
-    let mut scratch = InferScratch::new();
-    let kernel_dense_ns = best_ns(iters, rounds, || {
-        std::hint::black_box(mlp.forward_one_into(std::hint::black_box(&x), &mut scratch));
-    });
-    let mut pruned = mlp.clone();
-    prune_magnitude(&mut pruned, 0.8);
-    let mut engine = InferenceNet::compile(&pruned);
-    let kernel_csr_sparse = engine.is_sparse();
-    let kernel_csr_ns = best_ns(iters, rounds, || {
-        std::hint::black_box(engine.infer(std::hint::black_box(&x)));
-    });
     let mut int8 = Int8Net::compile(&mlp);
     let kernel_int8_ns = best_ns(iters, rounds, || {
         std::hint::black_box(int8.infer(std::hint::black_box(&x)));
     });
 
-    // --- Full-decision latencies: unfused reference vs compiled plan. ---
+    // --- Full-decision latencies: reference oracle vs compiled plan. ---
     let table = GpuConfig::small_test().vf_table;
     let model = CombinedModel::synthetic(table.len(), 7);
     let config = SsmdvfsConfig::new(0.10);
@@ -900,10 +833,7 @@ fn run_decide(smoke: bool) {
     let baseline = DecideBaseline {
         smoke,
         iters,
-        kernel_dense_ns,
-        kernel_csr_ns,
         kernel_int8_ns,
-        kernel_csr_sparse,
         reference_decision_ns,
         plan_decision_ns,
         plan_quantized_ns,
@@ -917,14 +847,8 @@ fn run_decide(smoke: bool) {
     assert!(baseline.decisions_identical, "plan/memo/reference decision streams diverged");
     assert!(baseline.memo_hit_rate > 0.0, "phase-structured replay produced no memo hits");
     assert!(
-        baseline.kernel_int8_ns < baseline.kernel_dense_ns,
-        "INT8 kernel ({:.0} ns) must beat the dense kernel ({:.0} ns)",
-        baseline.kernel_int8_ns,
-        baseline.kernel_dense_ns
-    );
-    assert!(
         baseline.plan_decision_ns < baseline.reference_decision_ns,
-        "compiled plan ({:.0} ns) must beat the unfused reference ({:.0} ns)",
+        "compiled plan ({:.0} ns) must beat the reference oracle ({:.0} ns)",
         baseline.plan_decision_ns,
         baseline.reference_decision_ns
     );
@@ -933,9 +857,7 @@ fn run_decide(smoke: bool) {
     std::fs::write(&path, &json).expect("baseline must be writable");
     println!("{json}");
     println!(
-        "[perf_baseline] kernels {:.0}/{:.0}/{:.0} ns dense/csr/int8; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns int8-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
-        baseline.kernel_dense_ns,
-        baseline.kernel_csr_ns,
+        "[perf_baseline] int8 kernel {:.0} ns; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns int8-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
         baseline.kernel_int8_ns,
         baseline.reference_decision_ns,
         baseline.plan_decision_ns,

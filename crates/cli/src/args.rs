@@ -179,27 +179,35 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
+    /// Returns an [`ErrorKind::InvalidValue`] error if the value does not
+    /// parse or the option was given without one.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ParseArgsError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseArgsError::new(format!("--{key} expects a number, got '{v}'"))),
-        }
+        self.get_parsed(key, default, "a number")
     }
 
     /// An integer option with a default.
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
+    /// Returns an [`ErrorKind::InvalidValue`] error if the value does not
+    /// parse or the option was given without one.
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, ParseArgsError> {
+        self.get_parsed(key, default, "an integer")
+    }
+
+    /// The typed getters' body. An option given without a value parses as
+    /// a bare flag; for a numeric option that is a mistake, never a request
+    /// for the default.
+    fn get_parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        expected: &str,
+    ) -> Result<T, ParseArgsError> {
         match self.get(key) {
+            None if self.flag(key) => Err(ParseArgsError::invalid_value(key, "", expected)),
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseArgsError::new(format!("--{key} expects an integer, got '{v}'"))),
+            Some(v) => v.parse().map_err(|_| ParseArgsError::invalid_value(key, v, expected)),
         }
     }
 }
@@ -233,7 +241,9 @@ mod tests {
         assert!(Args::parse(Vec::<String>::new()).unwrap_err().to_string().contains("subcommand"));
         assert!(Args::parse(["--oops"]).unwrap_err().to_string().contains("subcommand"));
         let a = Args::parse(["c", "--n", "xyz"]).unwrap();
-        assert!(a.get_usize("n", 0).unwrap_err().to_string().contains("integer"));
+        let e = a.get_usize("n", 0).unwrap_err();
+        assert!(e.to_string().contains("integer"), "{e}");
+        assert_eq!(e.kind(), ErrorKind::InvalidValue);
         assert!(a.require("missing").unwrap_err().to_string().contains("--missing"));
     }
 
@@ -242,6 +252,27 @@ mod tests {
         let a = Args::parse(["c", "--quiet"]).unwrap();
         assert!(a.flag("quiet"));
         assert_eq!(a.get("quiet"), None);
+    }
+
+    #[test]
+    fn get_usize_without_a_value_is_an_invalid_value() {
+        // Trailing, and followed by another option: both parse as flags.
+        for argv in [&["train", "--jobs"][..], &["train", "--jobs", "--epochs", "5"]] {
+            let a = Args::parse(argv.iter().copied()).unwrap();
+            let e = a.get_usize("jobs", 1).unwrap_err();
+            assert_eq!(e.kind(), ErrorKind::InvalidValue, "{argv:?}: {e}");
+            assert!(e.to_string().contains("--jobs"), "{argv:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn get_f64_without_a_value_is_an_invalid_value() {
+        let a = Args::parse(["simulate", "--preset"]).unwrap();
+        let e = a.get_f64("preset", 0.1).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::InvalidValue);
+        assert!(e.to_string().contains("--preset"), "{e}");
+        // An absent option still falls back to its default.
+        assert_eq!(a.get_f64("horizon-us", 2_000.0).unwrap(), 2_000.0);
     }
 }
 

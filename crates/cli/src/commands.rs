@@ -432,8 +432,8 @@ pub fn train(args: &Args) -> CmdResult {
     // per-column importance work both fan out over `--jobs` workers without
     // changing the selection.
     let features = match args.get("rfe") {
-        None => FeatureSet::refined(),
-        Some(_) => {
+        None if !args.flag("rfe") => FeatureSet::refined(),
+        _ => {
             let keep = args.get_usize("rfe", 4)?;
             let candidates = ssmdvfs::candidate_counters().len();
             if keep == 0 || keep >= candidates {
@@ -1121,17 +1121,19 @@ mod tests {
             assert!(snapshot.contains(name), "metrics snapshot must expose {name}: {snapshot}");
         }
 
-        let args = Args::parse([
-            "train",
-            "--dataset",
-            data_path.to_str().unwrap(),
-            "--out",
-            model_path.to_str().unwrap(),
-            "--rfe",
-            "0",
-        ])
-        .unwrap();
-        assert!(train(&args).unwrap_err().to_string().contains("--rfe"));
+        // Out of range, and given without a value.
+        for rfe in [&["--rfe", "0"][..], &["--rfe"]] {
+            let mut argv = vec![
+                "train",
+                "--dataset",
+                data_path.to_str().unwrap(),
+                "--out",
+                model_path.to_str().unwrap(),
+            ];
+            argv.extend_from_slice(rfe);
+            let args = Args::parse(argv).unwrap();
+            assert!(train(&args).unwrap_err().to_string().contains("--rfe"), "{rfe:?}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

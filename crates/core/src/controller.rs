@@ -130,12 +130,6 @@ impl SsmdvfsGovernor {
         &self.plan
     }
 
-    /// Mutable access to the compiled plan (e.g. to disable the decision
-    /// memo for an uncached benchmark run).
-    pub fn plan_mut(&mut self) -> &mut DecisionPlan {
-        &mut self.plan
-    }
-
     /// The effective preset currently applied to `cluster` (equals the
     /// original preset until calibration adjusts it).
     pub fn effective_preset(&self, cluster: usize) -> f64 {

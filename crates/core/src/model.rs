@@ -125,16 +125,6 @@ impl CombinedModel {
         self.decode_ordinal(&self.decision_logits(features, preset))
     }
 
-    /// Plain argmax decoding (ablation alternative to the ordinal decode in
-    /// [`CombinedModel::decide`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` does not match the model's feature set.
-    pub fn decide_argmax(&self, features: &[f32], preset: f32) -> usize {
-        tinynn::argmax(&self.decision_logits(features, preset))
-    }
-
     /// Ordinal decode over precomputed logits. Callers that also want the
     /// raw logits (e.g. the decision audit trail) compute
     /// [`CombinedModel::decision_logits`] once and decode from it, instead
@@ -147,16 +137,7 @@ impl CombinedModel {
     /// logit perturbation — an expensive failure when the points differ
     /// by hundreds of MHz.
     pub fn decode_ordinal(&self, logits: &[f32]) -> usize {
-        let mut probs = logits.to_vec();
-        self.decode_ordinal_in_place(&mut probs)
-    }
-
-    /// [`CombinedModel::decode_ordinal`] that consumes its scratch buffer:
-    /// `probs` enters holding the logits and leaves holding their softmax.
-    /// The allocation-free form the per-epoch controller uses; identical
-    /// arithmetic to [`CombinedModel::decode_ordinal`].
-    pub fn decode_ordinal_in_place(&self, probs: &mut [f32]) -> usize {
-        tinynn::softmax_in_place(probs);
+        let probs = tinynn::softmax(logits);
         let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
         (mean.round() as usize).min(self.num_ops - 1)
     }

@@ -1,31 +1,41 @@
-//! The compiled single-decision fast path.
+//! The compiled single-decision fast path, and the workspace's only
+//! single-sample `f32` inference code.
 //!
-//! [`SsmdvfsGovernor`](crate::SsmdvfsGovernor)'s per-epoch hot path used to
-//! thread each decision through several independently allocated pieces — a
-//! feature buffer, two [`Normalizer`]s, two compiled
-//! [`InferenceNet`](tinynn::InferenceNet)s with their own ping-pong scratch,
-//! and decode buffers. A [`DecisionPlan`] fuses all of it at governor
-//! construction into one flat preplanned arena: a single contiguous `f32`
-//! allocation holding the normalizer constants, both heads' weights and
-//! biases (dense row-major, or CSR values when pruning left a head mostly
-//! zeros) and every scratch slot the decision needs, with all layer offsets
-//! precomputed. A decision then runs branchless inner loops over that one
-//! allocation — no per-decision heap traffic, no pointer chasing between
-//! model pieces.
+//! A [`DecisionPlan`] compiles a [`CombinedModel`] and its controller
+//! configuration, once at governor construction, into one flat preplanned
+//! arena: a single contiguous `f32` allocation holding both heads'
+//! normalizer constants, weights and biases (dense row-major, or CSR values
+//! when pruning left a head mostly zeros) and every scratch slot the
+//! decision needs, with all layer offsets precomputed. A decision then runs
+//! branchless inner loops over that one allocation — no per-decision heap
+//! traffic, no pointer chasing between model pieces.
 //!
 //! Two properties are load-bearing and test-enforced:
 //!
-//! * **Bit-identity.** The plan replicates the exact arithmetic of the
-//!   engine path it replaces — same feature extraction, same `(x - mean) /
+//! * **Bit-identity.** The plan reproduces the arithmetic of the allocating
+//!   model methods ([`CombinedModel::decision_logits`],
+//!   [`CombinedModel::decode_ordinal`],
+//!   [`CombinedModel::predict_instructions`], which run `tinynn`'s batched
+//!   forward pass on one row) — same feature extraction, same `(x - mean) /
 //!   std` normalization, same ascending-`k` dense accumulation, same
 //!   ascending-column CSR accumulation, same softmax/ordinal decode, same
-//!   `f64` calibration update. The decision stream is byte-identical to the
-//!   pre-plan governor (proptest-enforced in `tests/plan_equivalence.rs`).
+//!   `f64` calibration update. The decision stream is byte-identical to
+//!   that reference (proptest-enforced in `tests/plan_equivalence.rs`).
 //! * **Memoization is invisible.** The per-cluster memo (see below) only
 //!   ever replays a decision whose *entire* input — feature bits, actual
 //!   instruction count, starvation flag, pre-decision calibration state and
 //!   table size — is bit-for-bit identical to the memoized epoch, so a hit
 //!   returns exactly what recomputing would have.
+//!
+//! # Dense and CSR heads
+//!
+//! A head whose weight density ([`Mlp::nonzero_weights`] over
+//! [`Mlp::weight_count`]) is below one half compiles to a CSR program:
+//! only the non-zero weights are stored, with row pointers and column
+//! indices in a parallel `u32` arena, and its FLOPs are
+//! [`Mlp::sparse_flops`]. Denser heads keep the branch-free dense loop.
+//! Skipping an exact-zero weight never changes a finite dot product, so
+//! the choice changes the work per decision, never a decision.
 //!
 //! # Phase-locality memo
 //!
@@ -42,24 +52,24 @@
 //!
 //! # Quantized path
 //!
-//! The plan also compiles both heads to [`Int8Net`] — the flat-arena INT8
-//! engine whose i32-accumulating kernel is the fastest single-decision path
-//! in `BENCH_decide` — reachable through
-//! [`DecisionPlan::decide_slot_quantized`]. It runs the same fused decision
-//! (features, calibration, decode) but infers through the integer datapath,
-//! so its decisions match the exact path only up to activation-quantization
-//! error; deployments take it for latency, the default exact path for
-//! bit-stable replays.
+//! The plan also compiles both heads to [`Int8Net`], the flat-arena INT8
+//! kernel, reachable through [`DecisionPlan::decide_slot_quantized`]. Both
+//! datapaths run one decision body (features, calibration, decode); only
+//! the head inference differs, and the INT8 path skips the memo and the
+//! metrics. Its decisions match the exact path only up to
+//! activation-quantization error; deployments take it for latency, the
+//! default exact path for bit-stable replays.
+
+use std::time::Instant;
 
 use gpu_sim::{CounterId, EpochCounters};
-use tinynn::{Activation, Int8Net, Mlp, Normalizer, QuantizedMlp, SparseMlp};
+use tinynn::{Activation, Int8Net, Mlp, Normalizer};
 
 use crate::controller::SsmdvfsConfig;
 use crate::model::CombinedModel;
 
-/// Density below which a head compiles to the CSR program — the same
-/// threshold [`tinynn::InferenceNet::compile`] uses, so the plan always
-/// picks the engine the governor would have.
+/// Weight density below which a head compiles to the CSR program: at half
+/// density the skipped multiplies outweigh the index indirection.
 const SPARSE_DENSITY_THRESHOLD: f64 = 0.5;
 
 /// One fused layer inside the arena program.
@@ -89,13 +99,37 @@ struct CsrOff {
     col_idx: usize,
 }
 
-/// Compiled program for one model head: its steps plus engine metadata.
+/// One compiled model head: its exact `f32` layer program, its INT8 twin
+/// and the arena offsets of its input normalizer.
 #[derive(Debug, Clone)]
-struct HeadProgram {
+struct Head {
     steps: Vec<PlanStep>,
     sparse: bool,
     flops: u64,
+    input_size: usize,
     output_size: usize,
+    /// Arena offsets of the normalizer's means and standard deviations.
+    mean: usize,
+    std: usize,
+    int8: Int8Net,
+}
+
+/// Offsets of the per-decision scratch slots, relative to the scratch
+/// region of the arena.
+#[derive(Debug, Clone, Copy)]
+struct Slots {
+    /// The raw features of the decision.
+    features: usize,
+    /// The assembled (then normalized) input of the head being run.
+    input: usize,
+    /// Activation ping-pong pair, each `width` wide.
+    a: usize,
+    b: usize,
+    width: usize,
+    /// The Decision-maker logits.
+    logits: usize,
+    /// Softmax scratch of the ordinal decode.
+    probs: usize,
 }
 
 /// Per-cluster self-calibration state — the plan-side spelling of the
@@ -205,28 +239,12 @@ pub struct DecisionPlan {
     /// CSR structure (row pointers + column indices) for sparse steps;
     /// empty when both heads compiled dense.
     idx: Vec<u32>,
-    decision: HeadProgram,
-    calibrator: HeadProgram,
-    /// Quantized twins of both heads — the fastest inference kernels in the
-    /// workspace, reachable via [`DecisionPlan::decide_slot_quantized`].
-    int8_decision: Int8Net,
-    int8_calibrator: Int8Net,
+    decision: Head,
+    calibrator: Head,
     /// Which counters feed the model, fused from the feature set.
     feature_ids: Vec<CounterId>,
-    // Program offsets (into the arena's program region).
-    dec_mean: usize,
-    dec_std: usize,
-    cal_mean: usize,
-    cal_std: usize,
-    // Scratch offsets (relative to `scratch_base`).
     scratch_base: usize,
-    s_features: usize,
-    s_input: usize,
-    s_a: usize,
-    s_b: usize,
-    s_logits: usize,
-    s_probs: usize,
-    act_width: usize,
+    slots: Slots,
     // Decode and calibration constants.
     num_ops: usize,
     instr_scale: f32,
@@ -242,30 +260,21 @@ pub struct DecisionPlan {
 }
 
 impl DecisionPlan {
-    /// Compiles the model and controller config into a fused plan. Engine
-    /// selection matches [`tinynn::InferenceNet::compile`] per head: CSR
-    /// below half density, branch-free dense otherwise.
+    /// Compiles the model and controller config into a fused plan: per
+    /// head, a CSR program below half weight density and the branch-free
+    /// dense program otherwise, plus the INT8 twin.
     pub fn compile(model: &CombinedModel, config: &SsmdvfsConfig) -> DecisionPlan {
         let f = model.feature_set.len();
         let mut arena: Vec<f32> = Vec::new();
         let mut idx: Vec<u32> = Vec::new();
-
-        let push_norm = |arena: &mut Vec<f32>, n: &Normalizer| -> (usize, usize) {
-            let mean = arena.len();
-            arena.extend_from_slice(n.mean());
-            let std = arena.len();
-            arena.extend_from_slice(n.std());
-            (mean, std)
-        };
-        let (dec_mean, dec_std) = push_norm(&mut arena, &model.decision_norm);
-        let (cal_mean, cal_std) = push_norm(&mut arena, &model.calibrator_norm);
-        let decision = compile_head(&model.decision, &mut arena, &mut idx);
-        let calibrator = compile_head(&model.calibrator, &mut arena, &mut idx);
+        let decision = compile_head(&model.decision, &model.decision_norm, &mut arena, &mut idx);
+        let calibrator =
+            compile_head(&model.calibrator, &model.calibrator_norm, &mut arena, &mut idx);
 
         // Scratch layout: features | assembled input | activation ping |
         // activation pong | logits | probs. The activation slots must fit
         // the widest layer input/output of either head.
-        let act_width = model
+        let width = model
             .decision
             .layers()
             .iter()
@@ -276,34 +285,21 @@ impl DecisionPlan {
             .max(f + 2);
         let num_out = decision.output_size;
         let scratch_base = arena.len();
-        let s_features = 0;
-        let s_input = s_features + f;
-        let s_a = s_input + (f + 2);
-        let s_b = s_a + act_width;
-        let s_logits = s_b + act_width;
-        let s_probs = s_logits + num_out;
-        arena.resize(scratch_base + s_probs + num_out, 0.0);
+        let input = f;
+        let a = input + (f + 2);
+        let b = a + width;
+        let logits = b + width;
+        let probs = logits + num_out;
+        arena.resize(scratch_base + probs + num_out, 0.0);
 
         DecisionPlan {
             arena,
             idx,
             decision,
             calibrator,
-            int8_decision: Int8Net::from_quantized(&QuantizedMlp::quantize(&model.decision)),
-            int8_calibrator: Int8Net::from_quantized(&QuantizedMlp::quantize(&model.calibrator)),
             feature_ids: model.feature_set.counters().to_vec(),
-            dec_mean,
-            dec_std,
-            cal_mean,
-            cal_std,
             scratch_base,
-            s_features,
-            s_input,
-            s_a,
-            s_b,
-            s_logits,
-            s_probs,
-            act_width,
+            slots: Slots { features: 0, input, a, b, width, logits, probs },
             num_ops: model.num_ops,
             instr_scale: model.instr_scale,
             cal_op_denom: (model.num_ops.max(2) - 1) as f32,
@@ -352,8 +348,8 @@ impl DecisionPlan {
         self.calibrator.sparse
     }
 
-    /// FLOPs of one Decision-maker inference on the compiled program
-    /// (sparse-aware, matching [`tinynn::InferenceNet::flops`]).
+    /// FLOPs of one Decision-maker inference on the compiled program:
+    /// [`Mlp::sparse_flops`] for a CSR head, [`Mlp::flops`] for a dense one.
     pub fn decision_flops(&self) -> u64 {
         self.decision.flops
     }
@@ -363,15 +359,10 @@ impl DecisionPlan {
         self.calibrator.flops
     }
 
-    /// Number of features the plan extracts per decision.
-    pub fn feature_len(&self) -> usize {
-        self.feature_ids.len()
-    }
-
     /// The features extracted by the most recent decision (valid after any
     /// [`DecisionPlan::decide_slot`] call; the audit trail reads it).
     pub fn features(&self) -> &[f32] {
-        let base = self.scratch_base + self.s_features;
+        let base = self.scratch_base + self.slots.features;
         &self.arena[base..base + self.feature_ids.len()]
     }
 
@@ -379,15 +370,15 @@ impl DecisionPlan {
     /// the memo on a hit, so they are always the logits of the returned
     /// decision).
     pub fn logits(&self) -> &[f32] {
-        let base = self.scratch_base + self.s_logits;
+        let base = self.scratch_base + self.slots.logits;
         &self.arena[base..base + self.decision.output_size]
     }
 
     /// One fused decision for `slot`: feature extraction, calibration
     /// update, Decision-maker inference + decode, Calibrator prediction —
     /// all inside the preplanned arena, memo-short-circuited when the epoch
-    /// bit-exactly repeats the previous one. Byte-identical to the unfused
-    /// engine path.
+    /// bit-exactly repeats the previous one. Byte-identical to the
+    /// allocating model-method reference.
     ///
     /// # Panics
     ///
@@ -398,15 +389,52 @@ impl DecisionPlan {
         counters: &EpochCounters,
         table_len: usize,
     ) -> PlanDecision {
-        assert!(table_len > 0, "DecisionPlan::decide_slot needs a non-empty operating-point table");
+        self.decide(slot, counters, table_len, false)
+    }
+
+    /// The fused decision on the INT8 datapath: the same decision as
+    /// [`DecisionPlan::decide_slot`] (features, calibration, decode,
+    /// prediction) but both heads infer through their [`Int8Net`] twins.
+    /// Decisions track the exact path within activation-quantization error;
+    /// they are **not** bit-identical, so replay-stable pipelines use the
+    /// exact path and latency-bound deployments this one. No memo (the
+    /// exact path's memo already serves the phase-repeat case) and no
+    /// metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table_len` is zero.
+    pub fn decide_slot_quantized(
+        &mut self,
+        slot: &mut ClusterSlot,
+        counters: &EpochCounters,
+        table_len: usize,
+    ) -> PlanDecision {
+        self.decide(slot, counters, table_len, true)
+    }
+
+    /// The one decision body behind both datapaths. `int8` is a constant at
+    /// each call site, so inlining compiles one specialization per
+    /// datapath with the choice folded away.
+    #[inline(always)]
+    fn decide(
+        &mut self,
+        slot: &mut ClusterSlot,
+        counters: &EpochCounters,
+        table_len: usize,
+        int8: bool,
+    ) -> PlanDecision {
+        assert!(table_len > 0, "DecisionPlan needs a non-empty operating-point table");
+        let memo = self.memo && !int8;
         // Timing the sub-200ns path costs two clock reads; only pay for it
         // when the metrics plane is actually on.
-        let t0 = if obs::enabled() { Some(std::time::Instant::now()) } else { None };
+        let t0 = if !int8 && obs::enabled() { Some(Instant::now()) } else { None };
 
         let f = self.feature_ids.len();
+        let s = self.slots;
         let (prog, scratch) = self.arena.split_at_mut(self.scratch_base);
         for (i, &c) in self.feature_ids.iter().enumerate() {
-            scratch[self.s_features + i] = counters[c] as f32;
+            scratch[s.features + i] = counters[c] as f32;
         }
         // Epochs dominated by empty-pipeline stalls (the cluster ran out of
         // work, e.g. at a kernel boundary) are excluded from calibration: an
@@ -422,7 +450,7 @@ impl DecisionPlan {
         // calibration state, table size — to match the stored epoch
         // bit-for-bit, which makes the replay provably identical to
         // recomputing.
-        if self.memo {
+        if memo {
             let m = &slot.memo;
             // The outstanding prediction only feeds the calibration update;
             // when that update cannot run (starved epoch, or calibration
@@ -438,12 +466,12 @@ impl DecisionPlan {
                 && m.pre_preset_bits == slot.state.effective_preset.to_bits()
                 && m.pre_err_bits == slot.state.err_ewma.to_bits()
                 && pred_matches
-                && bits_equal(&m.features, &scratch[self.s_features..self.s_features + f])
+                && bits_equal(&m.features, &scratch[s.features..s.features + f])
             {
                 slot.state.effective_preset = f64::from_bits(m.post_preset_bits);
                 slot.state.err_ewma = f64::from_bits(m.post_err_bits);
                 slot.state.predicted_instructions = Some(m.post_pred);
-                scratch[self.s_logits..self.s_logits + m.logits.len()].copy_from_slice(&m.logits);
+                scratch[s.logits..s.logits + m.logits.len()].copy_from_slice(&m.logits);
                 let decision = PlanDecision {
                     op: m.op,
                     memo_hit: true,
@@ -464,8 +492,7 @@ impl DecisionPlan {
         let pre_err_bits = slot.state.err_ewma.to_bits();
         let pre_pred_bits = prev_predicted.map(f32::to_bits);
 
-        // Self-calibration on the epoch that just ended (exact f64
-        // arithmetic of the engine path).
+        // Self-calibration on the epoch that just ended.
         if self.calibration && !starved {
             if let Some(predicted) = slot.state.predicted_instructions {
                 let actual_f32 = actual as f32;
@@ -490,67 +517,35 @@ impl DecisionPlan {
         }
         let effective_preset = slot.state.effective_preset;
 
-        // Decision head: assemble [features..., effective preset],
-        // normalize, run the fused program, decode.
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = effective_preset as f32;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 1],
-            &prog[self.dec_mean..self.dec_mean + f + 1],
-            &prog[self.dec_std..self.dec_std + f + 1],
-        );
-        run_head(
-            prog,
-            &self.idx,
-            &self.decision,
-            scratch,
-            self.s_input,
-            f + 1,
-            self.s_a,
-            self.s_b,
-            self.act_width,
-            self.s_logits,
-        );
+        // Decision head: assemble [features..., effective preset], run,
+        // decode.
+        scratch.copy_within(s.features..s.features + f, s.input);
+        scratch[s.input + f] = effective_preset as f32;
+        self.decision.infer(int8, prog, &self.idx, scratch, &s, s.logits);
         let num_out = self.decision.output_size;
         let op = if self.argmax_decode {
-            argmax_of(&scratch[self.s_logits..self.s_logits + num_out]).min(table_len - 1)
+            tinynn::argmax(&scratch[s.logits..s.logits + num_out]).min(table_len - 1)
         } else {
-            scratch.copy_within(self.s_logits..self.s_logits + num_out, self.s_probs);
-            let probs = &mut scratch[self.s_probs..self.s_probs + num_out];
+            scratch.copy_within(s.logits..s.logits + num_out, s.probs);
+            let probs = &mut scratch[s.probs..s.probs + num_out];
             tinynn::softmax_in_place(probs);
             let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
             (mean.round() as usize).min(self.num_ops - 1).min(table_len - 1)
         };
 
         // Calibrator head: always sees the original preset.
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = self.preset as f32;
-        scratch[self.s_input + f + 1] = op as f32 / self.cal_op_denom;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 2],
-            &prog[self.cal_mean..self.cal_mean + f + 2],
-            &prog[self.cal_std..self.cal_std + f + 2],
-        );
-        run_head(
-            prog,
-            &self.idx,
-            &self.calibrator,
-            scratch,
-            self.s_input,
-            f + 2,
-            self.s_a,
-            self.s_b,
-            self.act_width,
-            self.s_a, // calibrator output lands in the ping slot
-        );
-        let predicted = (scratch[self.s_a] * self.instr_scale).max(0.0);
+        scratch.copy_within(s.features..s.features + f, s.input);
+        scratch[s.input + f] = self.preset as f32;
+        scratch[s.input + f + 1] = op as f32 / self.cal_op_denom;
+        self.calibrator.infer(int8, prog, &self.idx, scratch, &s, s.a);
+        let predicted = (scratch[s.a] * self.instr_scale).max(0.0);
         slot.state.predicted_instructions = Some(predicted);
 
-        if self.memo {
+        if memo {
             let m = &mut slot.memo;
             m.valid = true;
             m.features.clear();
-            m.features.extend_from_slice(&scratch[self.s_features..self.s_features + f]);
+            m.features.extend_from_slice(&scratch[s.features..s.features + f]);
             m.actual_bits = actual.to_bits();
             m.starved = starved;
             m.table_len = table_len;
@@ -562,95 +557,14 @@ impl DecisionPlan {
             m.post_err_bits = slot.state.err_ewma.to_bits();
             m.post_pred = predicted;
             m.logits.clear();
-            m.logits.extend_from_slice(&scratch[self.s_logits..self.s_logits + num_out]);
+            m.logits.extend_from_slice(&scratch[s.logits..s.logits + num_out]);
         }
-        obs::counter!("decide.memo_misses").inc(1);
-        if let Some(t0) = t0 {
-            obs::histogram!("decide.plan_latency_ns").record(t0.elapsed().as_nanos() as f64);
-        }
-        PlanDecision { op, memo_hit: false, starved, effective_preset, predicted, prev_predicted }
-    }
-
-    /// The fused decision on the INT8 datapath: identical flow to
-    /// [`DecisionPlan::decide_slot`] (features, calibration, decode,
-    /// prediction) but both heads infer through the quantized [`Int8Net`]
-    /// kernels — the fastest single-decision path. Decisions track the
-    /// exact path within activation-quantization error; they are **not**
-    /// bit-identical, so replay-stable pipelines use the exact path and
-    /// latency-bound deployments this one. No memo (the exact path's memo
-    /// already serves the phase-repeat case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_len` is zero.
-    pub fn decide_slot_quantized(
-        &mut self,
-        slot: &mut ClusterSlot,
-        counters: &EpochCounters,
-        table_len: usize,
-    ) -> PlanDecision {
-        assert!(table_len > 0, "DecisionPlan needs a non-empty operating-point table");
-        let f = self.feature_ids.len();
-        let (prog, scratch) = self.arena.split_at_mut(self.scratch_base);
-        for (i, &c) in self.feature_ids.iter().enumerate() {
-            scratch[self.s_features + i] = counters[c] as f32;
-        }
-        let cycles = counters[CounterId::TotalCycles].max(1.0);
-        let starved = counters[CounterId::StallEmpty] / cycles > 0.2;
-        let actual = counters.total_instructions();
-        let prev_predicted = slot.state.predicted_instructions;
-        if self.calibration && !starved {
-            if let Some(predicted) = slot.state.predicted_instructions {
-                let actual_f32 = actual as f32;
-                if predicted > 0.0 {
-                    let rel_err = f64::from((predicted - actual_f32) / predicted);
-                    slot.state.err_ewma = 0.7 * slot.state.err_ewma + 0.3 * rel_err;
-                    if slot.state.err_ewma > self.deadband {
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            - self.gain * (slot.state.err_ewma - self.deadband) * self.preset)
-                            .max(self.min_preset);
-                    } else {
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            + self.recovery * self.preset)
-                            .min(self.preset);
-                    }
-                }
+        if !int8 {
+            obs::counter!("decide.memo_misses").inc(1);
+            if let Some(t0) = t0 {
+                obs::histogram!("decide.plan_latency_ns").record(t0.elapsed().as_nanos() as f64);
             }
         }
-        let effective_preset = slot.state.effective_preset;
-
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = effective_preset as f32;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 1],
-            &prog[self.dec_mean..self.dec_mean + f + 1],
-            &prog[self.dec_std..self.dec_std + f + 1],
-        );
-        let num_out = self.decision.output_size;
-        let out = self.int8_decision.infer(&scratch[self.s_input..self.s_input + f + 1]);
-        scratch[self.s_logits..self.s_logits + num_out].copy_from_slice(out);
-        let op = if self.argmax_decode {
-            argmax_of(&scratch[self.s_logits..self.s_logits + num_out]).min(table_len - 1)
-        } else {
-            scratch.copy_within(self.s_logits..self.s_logits + num_out, self.s_probs);
-            let probs = &mut scratch[self.s_probs..self.s_probs + num_out];
-            tinynn::softmax_in_place(probs);
-            let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
-            (mean.round() as usize).min(self.num_ops - 1).min(table_len - 1)
-        };
-
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = self.preset as f32;
-        scratch[self.s_input + f + 1] = op as f32 / self.cal_op_denom;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 2],
-            &prog[self.cal_mean..self.cal_mean + f + 2],
-            &prog[self.cal_std..self.cal_std + f + 2],
-        );
-        let out = self.int8_calibrator.infer(&scratch[self.s_input..self.s_input + f + 2]);
-        let predicted = (out[0] * self.instr_scale).max(0.0);
-        slot.state.predicted_instructions = Some(predicted);
-
         PlanDecision { op, memo_hit: false, starved, effective_preset, predicted, prev_predicted }
     }
 }
@@ -669,99 +583,123 @@ fn normalize(x: &mut [f32], mean: &[f32], std: &[f32]) {
     }
 }
 
-/// `tinynn::argmax` without the slice-to-vec detour (same semantics: first
-/// maximal element wins).
-fn argmax_of(v: &[f32]) -> usize {
-    tinynn::argmax(v)
-}
-
-/// Flattens one head into the arena: dense layers append row-major weights,
-/// CSR layers append the value stream to the arena and row pointers +
-/// column indices to the index arena. Engine choice (whole-head density
-/// against [`SPARSE_DENSITY_THRESHOLD`]) mirrors `InferenceNet::compile`.
-fn compile_head(mlp: &Mlp, arena: &mut Vec<f32>, idx: &mut Vec<u32>) -> HeadProgram {
-    let sparse_mlp = SparseMlp::from_mlp(mlp);
-    let sparse = sparse_mlp.density() < SPARSE_DENSITY_THRESHOLD;
-    let flops = if sparse { sparse_mlp.flops() } else { mlp.flops() };
+/// Flattens one head into the arena: its normalizer, then per layer the
+/// weights and biases. A dense head appends row-major weights; a CSR head
+/// (weight density below [`SPARSE_DENSITY_THRESHOLD`]) appends only the
+/// non-zero values, with each layer's row pointers and column indices in
+/// the index arena.
+fn compile_head(mlp: &Mlp, norm: &Normalizer, arena: &mut Vec<f32>, idx: &mut Vec<u32>) -> Head {
+    let mean = arena.len();
+    arena.extend_from_slice(norm.mean());
+    let std = arena.len();
+    arena.extend_from_slice(norm.std());
+    let density = mlp.nonzero_weights() as f64 / mlp.weight_count() as f64;
+    let sparse = density < SPARSE_DENSITY_THRESHOLD;
     let mut steps = Vec::with_capacity(mlp.layers().len());
-    if sparse {
-        for layer in sparse_mlp.layers() {
-            let w_off = arena.len();
-            arena.extend_from_slice(layer.w.vals());
-            let b_off = arena.len();
-            arena.extend_from_slice(&layer.b);
+    for layer in mlp.layers() {
+        let (rows, cols) = (layer.output_size(), layer.input_size());
+        let w_off = arena.len();
+        let csr = if sparse {
             let row_ptr = idx.len();
-            idx.extend_from_slice(layer.w.row_ptr());
+            let mut stored = 0u32;
+            idx.push(stored);
+            for r in 0..rows {
+                stored += layer.w.row(r).iter().filter(|&&v| v != 0.0).count() as u32;
+                idx.push(stored);
+            }
             let col_idx = idx.len();
-            idx.extend_from_slice(layer.w.col_idx());
-            steps.push(PlanStep {
-                rows: layer.w.rows(),
-                cols: layer.w.cols(),
-                w_off,
-                b_off,
-                relu: layer.activation == Activation::Relu,
-                csr: Some(CsrOff { row_ptr, col_idx }),
-            });
-        }
-    } else {
-        for layer in mlp.layers() {
-            let w_off = arena.len();
+            for r in 0..rows {
+                for (c, &v) in layer.w.row(r).iter().enumerate() {
+                    if v != 0.0 {
+                        idx.push(c as u32);
+                        arena.push(v);
+                    }
+                }
+            }
+            Some(CsrOff { row_ptr, col_idx })
+        } else {
             arena.extend_from_slice(layer.w.as_slice());
-            let b_off = arena.len();
-            arena.extend_from_slice(&layer.b);
-            steps.push(PlanStep {
-                rows: layer.output_size(),
-                cols: layer.input_size(),
-                w_off,
-                b_off,
-                relu: layer.activation == Activation::Relu,
-                csr: None,
-            });
+            None
+        };
+        let b_off = arena.len();
+        arena.extend_from_slice(&layer.b);
+        steps.push(PlanStep {
+            rows,
+            cols,
+            w_off,
+            b_off,
+            relu: layer.activation == Activation::Relu,
+            csr,
+        });
+    }
+    Head {
+        steps,
+        sparse,
+        flops: if sparse { mlp.sparse_flops() } else { mlp.flops() },
+        input_size: mlp.input_size(),
+        output_size: mlp.output_size(),
+        mean,
+        std,
+        int8: Int8Net::compile(mlp),
+    }
+}
+
+impl Head {
+    /// Normalizes the assembled input at `s.input` in place and runs the
+    /// head on it — the exact program, or the INT8 twin when `int8` is
+    /// set — leaving the outputs at `out_off`.
+    #[inline(always)]
+    fn infer(
+        &mut self,
+        int8: bool,
+        prog: &[f32],
+        idx: &[u32],
+        scratch: &mut [f32],
+        s: &Slots,
+        out_off: usize,
+    ) {
+        let (n, m) = (self.input_size, self.output_size);
+        normalize(
+            &mut scratch[s.input..s.input + n],
+            &prog[self.mean..self.mean + n],
+            &prog[self.std..self.std + n],
+        );
+        if int8 {
+            let y = self.int8.infer(&scratch[s.input..s.input + n]);
+            scratch[out_off..out_off + m].copy_from_slice(y);
+        } else {
+            self.run(prog, idx, scratch, s, out_off);
         }
     }
-    HeadProgram { steps, sparse, flops, output_size: mlp.output_size() }
-}
 
-/// Runs one compiled head over the scratch ping-pong slots and copies the
-/// final activations to `out_off`. The kernels replicate the engine
-/// arithmetic exactly: dense accumulates each output over `k` ascending
-/// with a single `f32` accumulator, CSR over stored columns ascending; both
-/// then add the bias and apply the ReLU — bit-identical to
-/// `Mlp::forward_one_into` / `SparseMlp::forward_one_into`.
-#[allow(clippy::too_many_arguments)]
-fn run_head(
-    prog: &[f32],
-    idx: &[u32],
-    head: &HeadProgram,
-    scratch: &mut [f32],
-    in_off: usize,
-    in_len: usize,
-    s_a: usize,
-    s_b: usize,
-    act_width: usize,
-    out_off: usize,
-) {
-    scratch.copy_within(in_off..in_off + in_len, s_a);
-    // Two disjoint ping-pong views over the one scratch slice; roles swap
-    // per layer.
-    let (lo, hi) = scratch.split_at_mut(s_b);
-    let mut src: &mut [f32] = &mut lo[s_a..s_a + act_width];
-    let mut dst: &mut [f32] = &mut hi[..act_width];
-    let mut out_in_a = true;
-    for step in &head.steps {
-        run_step(prog, idx, step, src, dst);
-        std::mem::swap(&mut src, &mut dst);
-        out_in_a = !out_in_a;
-    }
-    let n = head.output_size;
-    let final_off = if out_in_a { s_a } else { s_b };
-    if final_off != out_off {
-        scratch.copy_within(final_off..final_off + n, out_off);
+    /// Runs the exact program over the scratch ping-pong slots and copies
+    /// the final activations to `out_off`. Dense layers accumulate each
+    /// output over `k` ascending with a single `f32` accumulator, CSR
+    /// layers over stored columns ascending; both then add the bias and
+    /// apply the ReLU — the arithmetic of `tinynn`'s batched forward pass.
+    fn run(&self, prog: &[f32], idx: &[u32], scratch: &mut [f32], s: &Slots, out_off: usize) {
+        scratch.copy_within(s.input..s.input + self.input_size, s.a);
+        // Two disjoint ping-pong views over the one scratch slice; roles swap
+        // per layer.
+        let (lo, hi) = scratch.split_at_mut(s.b);
+        let mut src: &mut [f32] = &mut lo[s.a..s.a + s.width];
+        let mut dst: &mut [f32] = &mut hi[..s.width];
+        let mut out_in_a = true;
+        for step in &self.steps {
+            run_step(prog, idx, step, src, dst);
+            std::mem::swap(&mut src, &mut dst);
+            out_in_a = !out_in_a;
+        }
+        let n = self.output_size;
+        let final_off = if out_in_a { s.a } else { s.b };
+        if final_off != out_off {
+            scratch.copy_within(final_off..final_off + n, out_off);
+        }
     }
 }
 
-/// One fused layer: `y = act(W @ x + b)` with the engine-exact accumulation
-/// order (see [`run_head`]).
+/// One fused layer: `y = act(W @ x + b)` with the accumulation order of
+/// [`Head::run`].
 fn run_step(prog: &[f32], idx: &[u32], step: &PlanStep, x: &[f32], out: &mut [f32]) {
     let b = &prog[step.b_off..step.b_off + step.rows];
     match &step.csr {
@@ -864,21 +802,44 @@ mod tests {
     }
 
     #[test]
-    fn sparse_heads_compile_to_csr_programs_with_identical_results() {
-        let mut model = dummy_model(5);
-        tinynn::prune_magnitude(&mut model.decision, 0.8);
-        tinynn::prune_magnitude(&mut model.calibrator, 0.8);
-        let config = SsmdvfsConfig::new(0.1);
-        let mut plan = DecisionPlan::compile(&model, &config);
-        assert!(plan.decision_is_sparse());
-        assert!(plan.calibrator_is_sparse());
-        assert!(plan.decision_flops() < model.decision.flops());
-        let mut slot = plan.new_slot();
-        let counters = counters_with(4_000.0, 0.0);
-        let d = plan.decide_slot(&mut slot, &counters, 6);
-        let features = model.feature_set.extract(&counters);
-        assert_eq!(plan.logits(), &model.decision_logits(&features, 0.1)[..]);
-        assert_eq!(d.op, model.decide(&features, 0.1).min(5));
+    fn heads_compile_by_density_and_decide_as_the_reference() {
+        // Unpruned heads stay dense; 80 %-pruned ones compile to CSR, also
+        // with all-zero weight rows (no stored values, repeated row
+        // pointers, the neuron's output is its bias alone).
+        for (prune, zero_rows) in [(0.0, false), (0.8, false), (0.8, true)] {
+            let mut model = dummy_model(5);
+            for head in [&mut model.decision, &mut model.calibrator] {
+                tinynn::prune_magnitude(head, prune);
+                if zero_rows {
+                    let w = &mut head.layers_mut()[0].w;
+                    w.row_mut(1).fill(0.0);
+                    w.row_mut(w.rows() - 1).fill(0.0);
+                }
+            }
+            let mut plan = DecisionPlan::compile(&model, &SsmdvfsConfig::new(0.1));
+            let sparse = prune > 0.0;
+            assert_eq!(plan.decision_is_sparse(), sparse);
+            assert_eq!(plan.calibrator_is_sparse(), sparse);
+            let (dec_flops, cal_flops) = if sparse {
+                (model.decision.sparse_flops(), model.calibrator.sparse_flops())
+            } else {
+                (model.decision.flops(), model.calibrator.flops())
+            };
+            assert_eq!(plan.decision_flops(), dec_flops);
+            assert_eq!(plan.calibrator_flops(), cal_flops);
+            for instrs in [500.0, 4_000.0, 9_000.0] {
+                // A fresh slot decides at the configured preset, where the
+                // allocating model methods are a complete oracle.
+                let mut slot = plan.new_slot();
+                let counters = counters_with(instrs, 0.0);
+                let d = plan.decide_slot(&mut slot, &counters, 6);
+                let features = model.feature_set.extract(&counters);
+                let logits = model.decision_logits(&features, 0.1);
+                assert_eq!(plan.logits(), &logits[..], "prune {prune}, zero rows {zero_rows}");
+                assert_eq!(d.op, model.decode_ordinal(&logits).min(5));
+                assert_eq!(d.predicted, model.predict_instructions(&features, 0.1, d.op));
+            }
+        }
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //!
 //! The paper's premise is a microsecond decision budget per cluster; a
 //! fleet of GPUs multiplies that into a stream of concurrent decision
-//! requests, and answering them one `forward_one` at a time wastes most of
-//! the inference budget on per-call overhead. This module turns the
-//! per-cluster [`SsmdvfsGovernor`](crate::SsmdvfsGovernor) hot path into a
-//! service:
+//! requests, and waking a server thread per request would spend most of
+//! that budget on queue round trips. This module turns the per-cluster
+//! [`SsmdvfsGovernor`](crate::SsmdvfsGovernor) hot path into a service:
 //!
 //! * Clients submit [`DecisionRequest`]s into **bounded per-shard queues**
 //!   (a GPU always maps to the same shard). Submission blocks while the
 //!   shard is full — backpressure, not loss.
 //! * One batcher thread per shard drains up to `max_batch` requests and
-//!   answers them through the shard's compiled
-//!   [`DecisionPlan`](crate::plan::DecisionPlan) — the same fused
+//!   answers them through the shard's compiled [`DecisionPlan`], one
+//!   [`DecisionPlan::decide_slot`] per request — the same fused
 //!   single-allocation fast path the governor runs, including the
-//!   per-`(gpu, cluster)` phase-locality memo. Draining in batches
-//!   amortizes the queue wakeup over many sub-200 ns decisions.
+//!   per-`(gpu, cluster)` phase-locality memo. Draining many requests
+//!   per lock round-trip amortizes the queue wakeup over many sub-200 ns
+//!   decisions.
 //! * A request carries an optional **deadline**; one that expires in the
 //!   queue is answered with the table's safe fallback operating point (the
 //!   default, highest-frequency point — never slow down an epoch on stale
@@ -50,7 +50,7 @@ pub struct ServeConfig {
     /// shard `gpu % shards`, so per-GPU calibration state never crosses a
     /// shard boundary.
     pub shards: usize,
-    /// Most requests answered by one batched forward pass.
+    /// Most requests drained from the queue at once.
     pub max_batch: usize,
     /// Bound of each shard's queue; submission blocks at the bound.
     pub queue_depth: usize,
@@ -94,7 +94,8 @@ pub struct Decision {
 pub struct ServeStats {
     /// Requests answered (inference and fallback alike).
     pub decisions: u64,
-    /// Batched forward passes executed.
+    /// Batches drained and answered by inference (each a loop over
+    /// `DecisionPlan::decide_slot`, one call per request).
     pub batches: u64,
     /// Requests answered by inference (sum of batch sizes).
     pub batched: u64,
@@ -103,7 +104,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Mean requests per batched forward pass (0 when no batch ran).
+    /// Mean requests per answered batch (0 when no batch ran).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0

@@ -12,6 +12,8 @@
 //!   [`train_regressor`] — offline supervised training;
 //! * [`prune_magnitude`], [`prune_neurons`], [`prune_two_stage`] — the
 //!   paper's two-stage compression;
+//! * [`QuantizedMlp`], [`Int8Net`] — INT8 weight quantization and the
+//!   integer inference kernel;
 //! * [`permutation_importance`], [`recursive_feature_elimination`] — the
 //!   RFE feature selection of Table I;
 //! * [`Normalizer`], [`ClassificationData`], [`RegressionData`] — dataset
@@ -50,7 +52,6 @@ mod par;
 mod prune;
 mod quant;
 mod select;
-mod sparse;
 mod train;
 
 pub use data::{ClassificationData, Normalizer, RegressionData};
@@ -61,15 +62,14 @@ pub use loss::{
 };
 pub use matrix::Matrix;
 pub use metrics::{accuracy, argmax, confusion_matrix, mape, mape_counted, mean_class_distance};
-pub use mlp::{Activation, Dense, ForwardCache, Gradients, InferScratch, Mlp};
+pub use mlp::{Activation, Dense, ForwardCache, Gradients, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use par::TrainPool;
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
-pub use quant::{Int8Net, QuantizedLayer, QuantizedMlp};
+pub use quant::{Int8Net, QuantizedMlp};
 pub use select::{
     column_importance, permutation_importance, recursive_feature_elimination, splitmix64, RfeStep,
 };
-pub use sparse::{CsrMatrix, InferenceNet, SparseLayer, SparseMlp};
 pub use train::{
     grad_shards, shard_span, train_classifier, train_classifier_masked,
     train_classifier_parallel_with, train_classifier_with, train_regressor, train_regressor_masked,

@@ -1,16 +1,15 @@
 //! A minimal row-major `f32` matrix.
 //!
 //! The SSMDVFS networks are tiny (at most 9 layers × 20 neurons), but the
-//! RFE/ablation pipelines retrain them thousands of times, so the three
-//! product kernels ([`Matrix::matmul`], [`Matrix::matmul_transposed`],
-//! [`Matrix::transposed_matmul`]) are branch-free and blocked for cache and
-//! instruction-level parallelism. Every blocked kernel accumulates each
-//! output element over `k` in ascending order from `0.0`, which makes it
-//! **bit-identical** to the naive reference implementations
-//! ([`Matrix::matmul_naive`], [`Matrix::matmul_transposed_naive`]) — a
-//! property the `tinynn` property tests enforce on random shapes. The
-//! `*_into` variants write into caller-owned buffers so hot loops (training
-//! epochs, controller inference) run without heap allocation.
+//! RFE/ablation pipelines retrain them thousands of times, so the two
+//! product kernels ([`Matrix::matmul`] for the forward pass and `delta @ W`,
+//! [`Matrix::transposed_matmul`] for `dW`) are branch-free and blocked for
+//! cache and instruction-level parallelism. Every blocked kernel
+//! accumulates each output element over `k` in ascending order from `0.0`,
+//! which makes [`Matrix::matmul`] **bit-identical** to the naive reference
+//! [`Matrix::matmul_naive`] — a property the `tinynn` property tests
+//! enforce on random shapes. The `*_into` variants write into caller-owned
+//! buffers so training epochs run without heap allocation.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -131,7 +130,7 @@ impl Matrix {
     /// [`Matrix::matmul`] into a caller-owned buffer (resized as needed).
     ///
     /// The kernel is branch-free (no zero-skip test — sparsity belongs to
-    /// the CSR path in `tinynn::sparse`), blocks the output columns so a
+    /// the CSR programs of the compiled decision plan), blocks the output columns so a
     /// tile of `other` stays cache-resident across all rows of `self`, and
     /// unrolls `k` by four: the four contributions are added to the output
     /// element *sequentially*, so each output still accumulates over `k`
@@ -211,93 +210,6 @@ impl Matrix {
                     acc += self.data[i * self.cols + k] * other.data[k * other.cols + j];
                 }
                 out.data[i * other.cols + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// `self @ otherᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols == other.cols`.
-    pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transposed_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_transposed`] into a caller-owned buffer.
-    ///
-    /// This is the dot-product-form kernel (`x @ Wᵀ` with weights stored
-    /// `out × in`): four rows of `other` are processed per pass so the dot
-    /// products run as four independent accumulator chains instead of one
-    /// serial reduction. Each accumulator still sums over `k` in ascending
-    /// order from `0.0`, so the result is bit-identical to
-    /// [`Matrix::matmul_transposed_naive`] — and to
-    /// `self.matmul(&other.transpose())`, which is how the batched forward
-    /// pass computes the same product through the faster
-    /// [`Matrix::matmul_into`] kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols == other.cols`.
-    pub fn matmul_transposed_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_transposed needs matching column counts");
-        let n = other.rows;
-        let k = self.cols;
-        out.reshape(self.rows, n);
-        for i in 0..self.rows {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &other.data[j * k..(j + 1) * k];
-                let b1 = &other.data[(j + 1) * k..(j + 2) * k];
-                let b2 = &other.data[(j + 2) * k..(j + 3) * k];
-                let b3 = &other.data[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((&a, &v0), &v1), &v2), &v3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-                    s0 += a * v0;
-                    s1 += a * v1;
-                    s2 += a * v2;
-                    s3 += a * v3;
-                }
-                orow[j] = s0;
-                orow[j + 1] = s1;
-                orow[j + 2] = s2;
-                orow[j + 3] = s3;
-                j += 4;
-            }
-            while j < n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                orow[j] = acc;
-                j += 1;
-            }
-        }
-    }
-
-    /// Reference `self @ otherᵀ`: one serial dot product per output.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols == other.cols`.
-    pub fn matmul_transposed_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transposed needs matching column counts");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
             }
         }
         out
@@ -518,10 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn transposed_variants_agree_with_explicit_transpose() {
+    fn transposed_matmul_agrees_with_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0], &[0.0, 3.0]]);
-        assert_eq!(a.matmul_transposed(&b), a.matmul(&b.transpose()));
         assert_eq!(a.transposed_matmul(&b), a.transpose().matmul(&b));
     }
 
@@ -604,7 +515,7 @@ mod more_tests {
 
     #[test]
     fn blocked_kernels_match_naive_references() {
-        // Shapes straddling the 4-wide j-block and the 64-wide cache block.
+        // Shapes straddling the 4-deep k-unroll and the 64-wide cache block.
         let mut state = 0x1234_5678u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -613,13 +524,7 @@ mod more_tests {
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 7), (8, 20, 66), (65, 3, 4)] {
             let a = Matrix::from_vec(m, k, (0..m * k).map(|_| next()).collect());
             let b = Matrix::from_vec(k, n, (0..k * n).map(|_| next()).collect());
-            let bt = b.transpose();
             assert_eq!(a.matmul(&b), a.matmul_naive(&b), "matmul {m}x{k}x{n}");
-            assert_eq!(
-                a.matmul_transposed(&bt),
-                a.matmul_transposed_naive(&bt),
-                "matmul_transposed {m}x{k}x{n}"
-            );
             assert_eq!(
                 a.transposed_matmul(&a),
                 a.transpose().matmul_naive(&a),
@@ -639,8 +544,6 @@ mod more_tests {
         let a1 = Matrix::from_rows(&[&[2.0, 0.5]]);
         a1.matmul_into(&b, &mut out);
         assert_eq!(out, a1.matmul_naive(&b));
-        a1.matmul_transposed_into(&b, &mut out);
-        assert_eq!(out, a1.matmul_transposed_naive(&b));
         let mut sel = Matrix::zeros(0, 0);
         b.select_rows_into(&[1, 0], &mut sel);
         assert_eq!(sel, b.select_rows(&[1, 0]));

@@ -75,28 +75,12 @@ impl Dense {
         self.w.rows()
     }
 
-    /// Forward pass over a batch (rows are samples).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// [`Dense::forward`] into a caller-owned buffer (resized as needed);
-    /// the batched kernel behind [`Mlp::forward_into`] and the quantized /
-    /// controller hot paths.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_transposed_into(&self.w, out);
-        self.finish_affine(out);
-    }
-
-    /// [`Dense::forward_into`] through a caller-owned transposed-weights
-    /// scratch: `w` is re-laid as `in × out` into `wt`, and the product
-    /// runs through the fast row-streaming [`Matrix::matmul_into`] kernel.
-    /// Both kernels accumulate each output over `k` in ascending order, so
-    /// the result is bit-identical to [`Dense::forward_into`]; this is the
-    /// batched hot path ([`Mlp::forward_cached`]) where the transpose cost
-    /// is amortized over the whole minibatch.
+    /// Forward pass over a batch (rows are samples) into a caller-owned
+    /// output: `w` is re-laid as `in × out` into the `wt` scratch and the
+    /// product runs through the row-streaming [`Matrix::matmul_into`]
+    /// kernel, which accumulates each output over `k` in ascending order.
+    /// This is the one batched kernel behind [`Mlp::forward_cached`]; the
+    /// transpose cost is amortized over the whole minibatch.
     pub fn forward_transposed_into(&self, x: &Matrix, wt: &mut Matrix, out: &mut Matrix) {
         self.w.transpose_into(wt);
         x.matmul_into(wt, out);
@@ -111,26 +95,6 @@ impl Dense {
             }
         }
         self.activation.apply(out);
-    }
-
-    /// Single-sample forward pass into a caller-owned buffer. Produces the
-    /// same values as the batched path (each output is one ascending-`k`
-    /// dot product).
-    pub fn forward_vec_into(&self, x: &[f32], out: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.input_size(), "input width mismatch");
-        out.clear();
-        for j in 0..self.w.rows() {
-            let wrow = self.w.row(j);
-            let mut acc = 0.0f32;
-            for (&wv, &xv) in wrow.iter().zip(x) {
-                acc += wv * xv;
-            }
-            acc += self.b[j];
-            if self.activation == Activation::Relu {
-                acc = acc.max(0.0);
-            }
-            out.push(acc);
-        }
     }
 
     /// Dense FLOPs for one inference: a multiply and an add per weight.
@@ -245,22 +209,6 @@ impl ForwardCache {
     }
 }
 
-/// Reusable single-sample inference buffers for [`Mlp::forward_one_into`]
-/// and the sparse/quantized forward paths: two ping-pong activation vectors,
-/// grown once and recycled on every call.
-#[derive(Debug, Clone, Default)]
-pub struct InferScratch {
-    pub(crate) a: Vec<f32>,
-    pub(crate) b: Vec<f32>,
-}
-
-impl InferScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> InferScratch {
-        InferScratch::default()
-    }
-}
-
 /// A feed-forward multi-layer perceptron.
 ///
 /// # Examples
@@ -355,23 +303,12 @@ impl Mlp {
         cache.activations.pop().expect("cache holds the output")
     }
 
-    /// Single-sample forward pass.
+    /// Single-sample forward pass: a one-row [`Mlp::forward`], so it is
+    /// bit-identical to the batched path by construction. It allocates per
+    /// call; it is the reference the compiled decision plan is tested
+    /// against, not a hot path.
     pub fn forward_one(&self, x: &[f32]) -> Vec<f32> {
-        let mut scratch = InferScratch::new();
-        self.forward_one_into(x, &mut scratch).to_vec()
-    }
-
-    /// Single-sample forward pass through reusable scratch buffers —
-    /// the controller hot path. Allocation-free once the scratch is warm;
-    /// produces the same values as [`Mlp::forward_one`].
-    pub fn forward_one_into<'s>(&self, x: &[f32], scratch: &'s mut InferScratch) -> &'s [f32] {
-        scratch.a.clear();
-        scratch.a.extend_from_slice(x);
-        for layer in &self.layers {
-            layer.forward_vec_into(&scratch.a, &mut scratch.b);
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
-        &scratch.a
+        self.forward(&Matrix::from_vec(1, x.len(), x.to_vec())).as_slice().to_vec()
     }
 
     /// Forward pass that keeps every intermediate activation for
@@ -408,21 +345,6 @@ impl Mlp {
             let (before, after) = cache.activations.split_at_mut(l + 1);
             layer.forward_transposed_into(&before[l], &mut cache.wt, &mut after[0]);
         }
-    }
-
-    /// Micro-batch forward pass for the decision-serving path: runs every
-    /// row of `x` through the batched kernel, reusing the cache's
-    /// transposed-weight scratch and activation matrices, and returns the
-    /// output batch (one row per input row).
-    ///
-    /// Bit-identical to running each row through [`Mlp::forward_one_into`]:
-    /// the batched kernel ([`Dense::forward_transposed_into`]) and the
-    /// vector kernel ([`Dense::forward_vec_into`]) both accumulate each
-    /// output over `k` in ascending order, so batching requests never
-    /// changes a single bit of any decision — enforced by proptest.
-    pub fn forward_batch_into<'c>(&self, x: &Matrix, cache: &'c mut ForwardCache) -> &'c Matrix {
-        self.forward_into(x, cache);
-        cache.output()
     }
 
     /// Backpropagates `d_out` (gradient of the loss w.r.t. the network
@@ -620,8 +542,8 @@ mod tests {
         let mut l = Dense::new(2, 2, Activation::Relu, &mut rng());
         l.w = Matrix::from_rows(&[&[-1.0, 0.0], &[1.0, 0.0]]);
         l.b = vec![0.0, 0.0];
-        let y = l.forward(&Matrix::from_rows(&[&[2.0, 0.0]]));
-        assert_eq!(y.row(0), &[0.0, 2.0]);
+        let y = Mlp::from_layers(vec![l]).forward_one(&[2.0, 0.0]);
+        assert_eq!(y, [0.0, 2.0]);
     }
 
     /// Numerical gradient check: analytic backward vs finite differences.
@@ -705,17 +627,14 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_and_scratch_reproduce_fresh_results() {
+    fn warm_cache_reproduces_fresh_results() {
         let a = Mlp::new(&[4, 10, 3], &mut rng());
         let b = Mlp::new(&[4, 10, 3], &mut rng());
         let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 0.4], &[1.0, 0.0, -1.0, 0.5]]);
         let mut cache = ForwardCache::empty();
-        let mut scratch = InferScratch::new();
         for mlp in [&a, &b, &a] {
             mlp.forward_into(&x, &mut cache);
             assert_eq!(cache.output(), &mlp.forward(&x), "warm cache must match fresh");
-            let got = mlp.forward_one_into(x.row(0), &mut scratch).to_vec();
-            assert_eq!(got, mlp.forward_one(x.row(0)), "warm scratch must match fresh");
         }
     }
 

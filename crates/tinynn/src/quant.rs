@@ -3,50 +3,38 @@
 //! The paper's ASIC module computes in FP32; an INT8 datapath is the obvious
 //! next step for a microsecond-scale inference engine (multipliers shrink
 //! ~5×, SRAM per weight 4×). This module provides symmetric per-layer
-//! weight quantization with a straightforward dequantize-and-run evaluation
-//! path, so the accuracy cost of the smaller datapath can be measured
-//! before committing to it.
-
-use std::cell::RefCell;
+//! weight quantization ([`QuantizedMlp`]), whose dequantized model measures
+//! the accuracy cost of the smaller weights, and [`Int8Net`], the one
+//! kernel that runs the integer datapath.
 
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::Matrix;
-use crate::mlp::{Activation, Dense, ForwardCache, InferScratch, Mlp};
-
-thread_local! {
-    /// Reusable scratch behind the allocating convenience wrappers
-    /// ([`QuantizedMlp::forward_one`] / [`QuantizedMlp::forward`]), so
-    /// repeated calls stop paying per-call heap traffic for the
-    /// intermediate activations. Hot paths should still prefer the
-    /// explicit `_into` variants (or [`Int8Net`]), which also avoid the
-    /// output copy the by-value signatures force.
-    static QUANT_ONE_SCRATCH: RefCell<InferScratch> = RefCell::new(InferScratch::new());
-    static QUANT_BATCH_CACHE: RefCell<ForwardCache> = RefCell::new(ForwardCache::empty());
-}
+use crate::mlp::{Activation, Dense, Mlp};
 
 /// One layer's quantized weights: `w ≈ scale * q`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedLayer {
+struct QuantizedLayer {
     /// Quantized weight values in [-127, 127], row-major `out × in`.
-    pub q: Vec<i8>,
+    q: Vec<i8>,
     /// Output width.
-    pub rows: usize,
+    rows: usize,
     /// Input width.
-    pub cols: usize,
+    cols: usize,
     /// Dequantization scale (`w = scale * q`).
-    pub scale: f32,
+    scale: f32,
     /// Biases, kept in FP32 (negligible storage, large dynamic range).
-    pub bias: Vec<f32>,
+    bias: Vec<f32>,
 }
 
-/// An INT8-quantized MLP.
+/// An INT8-quantized MLP: the quantization step shared by
+/// [`QuantizedMlp::dequantize`] (accuracy studies) and [`Int8Net`]
+/// (inference).
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use tinynn::{Matrix, Mlp, QuantizedMlp};
+/// use tinynn::{Mlp, QuantizedMlp};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mlp = Mlp::new(&[4, 8, 2], &mut rng);
@@ -61,7 +49,7 @@ pub struct QuantizedLayer {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedMlp {
     layers: Vec<QuantizedLayer>,
-    activations: Vec<crate::mlp::Activation>,
+    activations: Vec<Activation>,
 }
 
 impl QuantizedMlp {
@@ -93,8 +81,7 @@ impl QuantizedMlp {
     }
 
     /// Reconstructs an FP32 model from the quantized weights (for
-    /// evaluation; a real INT8 datapath would run the integer values
-    /// directly).
+    /// evaluation; [`Int8Net`] runs the integer values directly).
     pub fn dequantize(&self) -> Mlp {
         let layers = self
             .layers
@@ -110,113 +97,6 @@ impl QuantizedMlp {
             })
             .collect();
         Mlp::from_layers(layers)
-    }
-
-    /// Storage for the quantized weights in bytes (1 per weight + 4 per
-    /// bias + 4 per layer scale).
-    pub fn weight_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.q.len() as u64 + 4 * l.bias.len() as u64 + 4).sum()
-    }
-
-    /// Number of non-zero quantized weights (sparsity survives
-    /// quantization: a zero weight quantizes to zero).
-    pub fn nonzero_weights(&self) -> u64 {
-        self.layers.iter().map(|l| l.q.iter().filter(|q| **q != 0).count() as u64).sum()
-    }
-
-    /// The per-layer quantization data.
-    pub fn layers(&self) -> &[QuantizedLayer] {
-        &self.layers
-    }
-
-    /// Batch forward pass directly on the quantized weights.
-    ///
-    /// Runs through a thread-local [`ForwardCache`], so the intermediate
-    /// activations are allocation-free once warm; only the returned output
-    /// matrix is given up per call (the by-value signature forces it).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        QUANT_BATCH_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            self.forward_into(x, &mut cache);
-            // Swap the output out rather than cloning it: the resize at the
-            // top of the next `forward_into` re-creates the slot, and every
-            // other buffer in the cache stays warm.
-            let out = cache.activations.last_mut().expect("cache holds the output");
-            std::mem::replace(out, Matrix::zeros(0, 0))
-        })
-    }
-
-    /// [`QuantizedMlp::forward`] into a reusable cache — the INT8 datapath
-    /// the ASIC estimate models: integer weights accumulate per dot product
-    /// and the FP32 `scale` is applied once per output, instead of
-    /// rescaling every weight up front as [`QuantizedMlp::dequantize`]
-    /// does. (The two paths agree to within quantization rounding, not bit
-    /// for bit: dequantize-then-multiply rounds each weight separately.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not match the first layer's input width.
-    pub fn forward_into(&self, x: &Matrix, cache: &mut ForwardCache) {
-        assert_eq!(x.cols(), self.layers[0].cols, "input width mismatch");
-        let input = cache.input_mut();
-        input.reshape(x.rows(), x.cols());
-        input.as_mut_slice().copy_from_slice(x.as_slice());
-        cache.activations.resize(self.layers.len() + 1, Matrix::zeros(0, 0));
-        for (l, (layer, &activation)) in self.layers.iter().zip(&self.activations).enumerate() {
-            let (before, after) = cache.activations.split_at_mut(l + 1);
-            let (h, out) = (&before[l], &mut after[0]);
-            out.reshape(h.rows(), layer.rows);
-            for i in 0..h.rows() {
-                let hrow = h.row(i);
-                for j in 0..layer.rows {
-                    let qrow = &layer.q[j * layer.cols..(j + 1) * layer.cols];
-                    let mut acc = 0.0f32;
-                    for (&q, &v) in qrow.iter().zip(hrow) {
-                        acc += f32::from(q) * v;
-                    }
-                    let mut y = acc * layer.scale + layer.bias[j];
-                    if activation == Activation::Relu {
-                        y = y.max(0.0);
-                    }
-                    out.row_mut(i)[j] = y;
-                }
-            }
-        }
-    }
-
-    /// Single-sample forward pass on the quantized weights.
-    ///
-    /// Runs through thread-local [`InferScratch`], so only the returned
-    /// `Vec` is allocated per call.
-    pub fn forward_one(&self, x: &[f32]) -> Vec<f32> {
-        QUANT_ONE_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            self.forward_one_into(x, &mut scratch).to_vec()
-        })
-    }
-
-    /// [`QuantizedMlp::forward_one`] through reusable scratch buffers —
-    /// allocation-free once warm.
-    pub fn forward_one_into<'s>(&self, x: &[f32], scratch: &'s mut InferScratch) -> &'s [f32] {
-        scratch.a.clear();
-        scratch.a.extend_from_slice(x);
-        for (layer, &activation) in self.layers.iter().zip(&self.activations) {
-            scratch.b.clear();
-            for j in 0..layer.rows {
-                let qrow = &layer.q[j * layer.cols..(j + 1) * layer.cols];
-                let mut acc = 0.0f32;
-                for (&q, &v) in qrow.iter().zip(&scratch.a) {
-                    acc += f32::from(q) * v;
-                }
-                let mut y = acc * layer.scale + layer.bias[j];
-                if activation == Activation::Relu {
-                    y = y.max(0.0);
-                }
-                scratch.b.push(y);
-            }
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
-        &scratch.a
     }
 }
 
@@ -256,9 +136,8 @@ struct Int8Step {
 
 /// A compiled INT8 single-sample inference engine.
 ///
-/// Where [`QuantizedMlp::forward_one_into`] widens every `i8` weight to
-/// `f32` inside the dot product, `Int8Net` runs the true integer datapath:
-/// activations are dynamically quantized per layer (`xq = round(x * 127 /
+/// `Int8Net` runs the true integer datapath on the [`QuantizedMlp`]
+/// weights: activations are dynamically quantized per layer (`xq = round(x * 127 /
 /// max|x|)`, round-to-nearest-even), the dot products accumulate in exact
 /// `i32` arithmetic over one flat `i8` weight arena (all layer offsets
 /// precomputed — no per-call heap traffic, no scalar loop tails), and a
@@ -272,8 +151,11 @@ struct Int8Step {
 /// portable scalar one. Integer accumulation is exact and every float op is
 /// elementwise-identical, so the two paths produce the same bits.
 ///
-/// Outputs differ from [`QuantizedMlp`] only by the activation quantization
-/// (bounded by `max|x| / 254` per element).
+/// Outputs differ from the dequantized model's forward pass
+/// ([`QuantizedMlp::dequantize`]) by the activation quantization (bounded
+/// by `max|x| / 254` per element) plus float rounding: the dequantized
+/// model rounds each scaled weight, the integer path scales once per
+/// output.
 ///
 /// # Examples
 ///
@@ -321,13 +203,10 @@ pub struct Int8Net {
 const ROUND_MAGIC: f32 = 12_582_912.0;
 
 impl Int8Net {
-    /// Quantizes `mlp` and compiles the result into a flat arena.
+    /// Quantizes `mlp` ([`QuantizedMlp::quantize`]) and compiles the result
+    /// into a flat arena.
     pub fn compile(mlp: &Mlp) -> Int8Net {
-        Int8Net::from_quantized(&QuantizedMlp::quantize(mlp))
-    }
-
-    /// Compiles an existing [`QuantizedMlp`] into a flat arena.
-    pub fn from_quantized(q: &QuantizedMlp) -> Int8Net {
+        let q = QuantizedMlp::quantize(mlp);
         let mut wq = Vec::new();
         let mut bias = Vec::new();
         let mut steps = Vec::with_capacity(q.layers.len());
@@ -739,51 +618,24 @@ mod tests {
     }
 
     #[test]
-    fn direct_forward_tracks_dequantized_forward() {
-        let mlp = model();
-        let q = QuantizedMlp::quantize(&mlp);
-        let deq = q.dequantize();
-        let x = Matrix::from_rows(&[&[0.2, -0.4, 0.9, 0.0, -1.1], &[1.0, 1.0, -1.0, 0.3, 0.0]]);
-        let direct = q.forward(&x);
-        let via_deq = deq.forward(&x);
-        assert_eq!((direct.rows(), direct.cols()), (2, 6));
-        for (a, b) in direct.as_slice().iter().zip(via_deq.as_slice()) {
-            // Scale-after-sum vs scale-per-weight: tiny rounding drift only.
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-        let mut scratch = InferScratch::new();
-        let single = q.forward_one_into(x.row(0), &mut scratch).to_vec();
-        assert_eq!(single, direct.row(0), "single-sample path matches batch");
-        assert_eq!(q.forward_one(x.row(0)), single);
-    }
-
-    #[test]
     fn sparsity_survives_quantization() {
+        // A zero weight quantizes to zero and dequantizes back to zero.
         let mut mlp = model();
         prune_magnitude(&mut mlp, 0.6);
-        let q = QuantizedMlp::quantize(&mlp);
-        assert_eq!(q.nonzero_weights(), mlp.nonzero_weights());
+        let deq = QuantizedMlp::quantize(&mlp).dequantize();
+        assert_eq!(deq.nonzero_weights(), mlp.nonzero_weights());
     }
 
     #[test]
-    fn storage_is_a_quarter_of_fp32() {
+    fn int8_net_tracks_dequantized_forward() {
         let mlp = model();
-        let q = QuantizedMlp::quantize(&mlp);
-        let fp32_bytes = mlp.weight_count() * 4;
-        assert!(q.weight_bytes() < fp32_bytes / 2, "INT8 must at least halve storage");
-    }
-
-    #[test]
-    fn int8_net_tracks_quantized_forward() {
-        let mlp = model();
-        let q = QuantizedMlp::quantize(&mlp);
-        let mut net = Int8Net::from_quantized(&q);
+        let deq = QuantizedMlp::quantize(&mlp).dequantize();
+        let mut net = Int8Net::compile(&mlp);
         assert_eq!((net.input_size(), net.output_size()), (5, 6));
-        let mut scratch = InferScratch::new();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..64 {
             let x: Vec<f32> = (0..5).map(|_| rand::Rng::gen_range(&mut rng, -2.0..2.0)).collect();
-            let reference = q.forward_one_into(&x, &mut scratch).to_vec();
+            let reference = deq.forward_one(&x);
             let got = net.infer(&x).to_vec();
             assert_eq!(got.len(), reference.len());
             for (a, b) in got.iter().zip(&reference) {
@@ -812,17 +664,21 @@ mod tests {
     }
 
     #[test]
-    fn int8_net_arena_is_flat() {
+    fn int8_net_arena_is_flat_and_a_quarter_of_fp32() {
         let mlp = model();
-        let q = QuantizedMlp::quantize(&mlp);
-        let net = Int8Net::from_quantized(&q);
-        let total: usize =
-            q.layers().iter().map(|l| l.cols.div_ceil(2) * 2 * (l.rows.div_ceil(8) * 8)).sum();
+        let net = Int8Net::compile(&mlp);
+        let total: usize = mlp
+            .layers()
+            .iter()
+            .map(|l| l.input_size().div_ceil(2) * 2 * (l.output_size().div_ceil(8) * 8))
+            .sum();
         assert_eq!(
             net.weight_bytes(),
             total as u64,
             "one contiguous i8 arena, padded pair columns"
         );
+        let fp32_bytes = mlp.weight_count() * 4;
+        assert!(net.weight_bytes() < fp32_bytes / 2, "INT8 must at least halve storage");
     }
 
     #[test]

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tinynn::{
-    cross_entropy, prune_magnitude, prune_neurons, softmax, ForwardCache, InferScratch,
-    InferenceNet, Matrix, Mlp, Normalizer, ZeroMask,
+    cross_entropy, prune_magnitude, prune_neurons, softmax, ForwardCache, Matrix, Mlp, Normalizer,
+    ZeroMask,
 };
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -45,15 +45,12 @@ proptest! {
         }
     }
 
-    /// Transpose is an involution and matmul_transposed matches the
-    /// explicit transpose.
+    /// Transpose is an involution and `transposed_matmul` matches the
+    /// explicit transpose bit for bit.
     #[test]
-    fn transpose_involution(m in arb_matrix(3, 5)) {
+    fn transpose_involution(m in arb_matrix(3, 5), other in arb_matrix(3, 2)) {
         prop_assert_eq!(m.transpose().transpose(), m.clone());
-        let other = Matrix::zeros(2, 5);
-        let a = m.matmul_transposed(&other);
-        let b = m.matmul(&other.transpose());
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(m.transposed_matmul(&other), m.transpose().matmul(&other));
     }
 
     /// Matrix multiplication is associative (within float tolerance).
@@ -121,8 +118,8 @@ proptest! {
         prop_assert!(out1.iter().all(|v| v.is_finite()));
     }
 
-    /// The blocked matmul kernels are bit-identical to their naive
-    /// references on arbitrary shapes — including shapes that straddle the
+    /// The blocked matmul kernel is bit-identical to its naive reference
+    /// on arbitrary shapes — including shapes that straddle the
     /// internal tile boundaries. Blocking only reorders *independent* dot
     /// products; each output element still accumulates over `k` in
     /// ascending order, so no float result may change.
@@ -137,12 +134,10 @@ proptest! {
         let a = random_matrix(m, k, &mut rng);
         let b = random_matrix(k, n, &mut rng);
         prop_assert_eq!(a.matmul(&b), a.matmul_naive(&b));
-        let bt = b.transpose();
-        prop_assert_eq!(a.matmul_transposed(&bt), a.matmul_transposed_naive(&bt));
     }
 
-    /// `forward_into` (warm, reused cache) and `forward_one_into` (warm
-    /// scratch) are bit-identical to the allocating batch forward pass on
+    /// `forward_into` (warm, reused cache) and `forward_one` (one row at a
+    /// time) are bit-identical to the allocating batch forward pass on
     /// random inputs and hidden sizes.
     #[test]
     fn forward_into_is_bit_identical_to_forward(
@@ -162,42 +157,8 @@ proptest! {
         mlp.forward_into(&x, &mut cache);
         prop_assert_eq!(cache.activations.last().expect("output present"), &batch);
 
-        let mut scratch = InferScratch::new();
         for r in 0..x.rows() {
-            let one = mlp.forward_one_into(x.row(r), &mut scratch);
-            prop_assert_eq!(one, batch.row(r), "row {}", r);
-        }
-    }
-
-    /// The serving micro-batch path is bit-identical to N sequential
-    /// single-request inferences, at any batch size (including 0) and on
-    /// both engines (dense and, after pruning, CSR). The serve layer
-    /// relies on this: batching requests must never change a decision.
-    #[test]
-    fn infer_batch_is_bit_identical_to_sequential_singles(
-        seed in any::<u64>(),
-        hidden in 1usize..16,
-        batch in 0usize..13,
-        frac in 0.0f32..0.9,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut mlp = Mlp::new(&[5, hidden, 4], &mut rng);
-        prune_magnitude(&mut mlp, frac);
-        let x = random_matrix(batch, 5, &mut rng);
-
-        let mut net = InferenceNet::compile(&mlp);
-        let mut out = Matrix::zeros(0, 0);
-        // Warm with a different batch size first: cache reuse across
-        // shapes must not leak stale activations into the next batch.
-        net.infer_batch_into(&random_matrix(batch + 3, 5, &mut rng), &mut out);
-        net.infer_batch_into(&x, &mut out);
-        prop_assert_eq!((out.rows(), out.cols()), (batch, 4));
-
-        let mut single = InferenceNet::compile(&mlp);
-        for r in 0..batch {
-            let want = single.infer(x.row(r));
-            let got = out.row(r);
-            prop_assert_eq!(got, want, "row {} (sparse: {})", r, net.is_sparse());
+            prop_assert_eq!(mlp.forward_one(x.row(r)), batch.row(r), "row {}", r);
         }
     }
 }

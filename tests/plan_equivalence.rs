@@ -1,18 +1,17 @@
 //! Property-based bit-identity proof for the compiled decision fast path.
 //!
-//! The [`DecisionPlan`] replaces the governor's unfused engine path; these
-//! properties enforce that it reproduces the reference decision arithmetic
-//! **byte-for-byte** — memo on or off, dense or CSR heads, ordinal or
-//! argmax decode — over random model shapes, feature vectors, presets and
-//! warm/cold epoch sequences.
+//! [`DecisionPlan`] is the only single-sample f32 inference code in the
+//! workspace; these properties enforce that it reproduces the reference
+//! decision arithmetic **byte-for-byte** — memo on or off, dense or CSR
+//! heads, ordinal or argmax decode — over random model shapes, feature
+//! vectors, presets and warm/cold epoch sequences.
 //!
 //! The oracle is built purely from the allocating [`CombinedModel`] methods
-//! (`decision_logits`, `decode_ordinal`, `predict_instructions`) plus a
-//! line-for-line replica of the self-calibration update. That path is
-//! independent of `plan.rs` and was pinned to the historical
-//! `SsmdvfsGovernor::decide` by the pre-existing
-//! `engine_path_matches_model_methods` test, so agreement here proves the
-//! plan did not change a single decision bit.
+//! (`decision_logits`, `decode_ordinal`, `predict_instructions`, which run
+//! `tinynn`'s batched forward pass on one row) plus a line-for-line replica
+//! of the self-calibration update. That path shares no code with
+//! `plan.rs`, so agreement here proves the plan computes exactly what the
+//! model it was compiled from computes.
 
 use gpu_sim::{CounterId, EpochCounters};
 use proptest::prelude::*;
