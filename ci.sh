@@ -313,7 +313,8 @@ echo "==> phase profiler smoke (collapsed stacks + inspect --profile)"
   | tee "$OBS_TMP/profile.log"
 grep -q "datagen" "$OBS_TMP/profile.log"
 grep -q "datagen.replay" "$OBS_TMP/profile.folded"
-# At least one nested path (worker -> replay) proves stacks collapse.
+# At least one nested path (datagen.suite -> replay on the calling
+# thread, which runs tasks too) proves stacks collapse.
 grep -q ";" "$OBS_TMP/profile.folded"
 
 echo "==> SLO gate (passes on the current trajectory)"

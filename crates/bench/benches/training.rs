@@ -6,8 +6,8 @@ use gpu_sim::{CounterId, EpochCounters, GpuConfig};
 use gpu_workloads::by_name;
 use ssmdvfs::{generate, DataGenConfig, DvfsDataset, FeatureSet, RawSample};
 use tinynn::{
-    train_classifier, train_classifier_parallel_with, ClassificationData, Mlp, Normalizer,
-    TrainConfig, TrainPool, TrainScratch,
+    train_classifier, train_classifier_parallel_with, ClassificationData, Mlp, Normalizer, Pool,
+    TrainConfig, TrainScratch,
 };
 
 fn synthetic_dataset(n: usize) -> DvfsDataset {
@@ -68,7 +68,7 @@ fn bench_training_epoch(c: &mut Criterion) {
     // Same epoch through the persistent shard pool at 4 jobs. The result
     // is byte-identical to the serial case by construction; the delta is
     // pure engine overhead/speedup (sub-serial on a 1-core CI container).
-    let pool = TrainPool::new(4);
+    let pool = Pool::new(4);
     let mut scratch = TrainScratch::new();
     group.bench_function("one_epoch_paper_full_4jobs", |b| {
         b.iter(|| {

@@ -47,7 +47,7 @@ use ssmdvfs::{
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
     grad_shards, train_classifier_parallel_with, train_classifier_with, ClassificationData,
-    Int8Net, Matrix, Mlp, TrainConfig, TrainPool, TrainScratch,
+    Int8Net, Matrix, Mlp, Pool, TrainConfig, TrainScratch,
 };
 
 #[derive(Serialize)]
@@ -390,7 +390,7 @@ fn time_training(smoke: bool, jobs: usize) -> (usize, usize, f64, f64, bool) {
     }
     let serial_secs = t0.elapsed().as_secs_f64();
 
-    let pool = TrainPool::new(jobs);
+    let pool = Pool::new(jobs);
     // Parallel warm-up (first fan-out wakes the worker team).
     let mut mlp = inits[0].clone();
     train_classifier_parallel_with(&mut mlp, &train, &val, &cfg, None, &mut scratch, &pool);

@@ -14,6 +14,4 @@ pub mod runner;
 
 pub use pipeline::{artifacts_dir, build_or_load_dataset, train_or_load_model, PipelineConfig};
 pub use report::{format_table, write_csv};
-pub use runner::{
-    compare_on_benchmark, parallel_map, try_compare_on_benchmark, ComparisonRow, GovernorKind,
-};
+pub use runner::{compare_on_benchmark, try_compare_on_benchmark, ComparisonRow, GovernorKind};

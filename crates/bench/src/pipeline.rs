@@ -118,7 +118,7 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
         Err(e) => obs::warn!("pipeline: datagen runs uncached: {e}"),
     }
     // Every (benchmark, breakpoint, operating point) replay is one job on
-    // the shared work-stealing pool; per-benchmark sample order is
+    // the shared compute pool; per-benchmark sample order is
     // byte-identical to a sequential run.
     let outcome = generate_suite_with(&benches, &config.gpu, &config.datagen, &options)
         .expect("checkpoint journal must stay writable");

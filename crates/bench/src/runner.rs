@@ -159,31 +159,9 @@ pub fn try_compare_on_benchmark(
         .collect()
 }
 
-/// Maps `f` over `items` using up to `available_parallelism` worker threads
-/// (sequential on single-core machines). Order of results matches input
-/// order.
-///
-/// Delegates to the shared work-stealing pool in [`ssmdvfs::exec`], which
-/// writes each result into its own pre-sized output slot instead of taking
-/// a lock around the whole result vector per item.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    ssmdvfs::exec::parallel_map_indexed(0, items, |_, item| f(&item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |&x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn try_compare_matches_panicking_wrapper_on_healthy_runs() {

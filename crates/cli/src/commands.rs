@@ -382,7 +382,7 @@ pub fn datagen(args: &Args) -> CmdResult {
     options.cache = cache.clone();
 
     // Fan every (benchmark, breakpoint, operating point) replay out over
-    // the shared work-stealing pool; the sample order is identical to a
+    // the shared compute pool; the sample order is identical to a
     // sequential per-benchmark run, and (with a journal) byte-identical
     // across an interruption.
     let outcome = generate_suite_with(&scaled, &cfg, &dg, &options)

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tinynn::{
     accuracy, mape, prune_magnitude, prune_neurons, train_classifier_parallel_with,
-    train_regressor_parallel_with, ClassificationData, RegressionData, TrainConfig, TrainPool,
+    train_regressor_parallel_with, ClassificationData, Pool, RegressionData, TrainConfig,
     TrainScratch, ZeroMask,
 };
 
@@ -65,7 +65,7 @@ pub fn layerwise_sweep_jobs(
 ) -> Vec<CompressionPoint> {
     assert!(!shapes.is_empty(), "the sweep needs at least one shape");
     let prep = PreparedSplits::prepare(dataset, features, num_ops, config, 0.25);
-    let pool = TrainPool::new(jobs);
+    let pool = Pool::new(jobs);
     let mut scratch = TrainScratch::new();
     shapes
         .iter()
@@ -176,7 +176,7 @@ pub fn compress_and_finetune_jobs(
     jobs: usize,
 ) -> CombinedModel {
     let splits = FinetuneSplits::prepare(model, dataset, config);
-    let pool = TrainPool::new(jobs);
+    let pool = Pool::new(jobs);
     // Both recovery trainings share one scratch, like `train_combined`.
     let mut scratch = TrainScratch::new();
     compress_and_finetune_prepared(model, &splits, x1, x2, config, &pool, &mut scratch)
@@ -191,7 +191,7 @@ pub fn compress_and_finetune_prepared(
     x1: f32,
     x2: f32,
     config: &TrainConfig,
-    pool: &TrainPool,
+    pool: &Pool,
     scratch: &mut TrainScratch,
 ) -> CombinedModel {
     let mut out = compress_model(model, x1, x2);
@@ -266,7 +266,7 @@ pub fn pruning_sweep_jobs(
 ) -> Vec<CompressionPoint> {
     assert!(!params.is_empty(), "the sweep needs at least one parameter pair");
     let splits = FinetuneSplits::prepare(model, dataset, finetune);
-    let pool = TrainPool::new(jobs);
+    let pool = Pool::new(jobs);
     let mut scratch = TrainScratch::new();
     // Every pruned variant keeps the parent's feature set, normalizers and
     // op count, so the evaluation inputs are shared across points too

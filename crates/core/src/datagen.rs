@@ -370,7 +370,7 @@ impl DvfsDataset {
 /// Everything one operating-point replay needs, captured once per
 /// breakpoint from the reference timeline. The six per-operating-point
 /// replays sharing a spec are independent of each other and of every other
-/// breakpoint, which is what the work-stealing fan-out exploits.
+/// breakpoint, which is what the parallel fan-out exploits.
 struct ReplaySpec {
     /// Breakpoint index within the benchmark.
     breakpoint: usize,
@@ -576,7 +576,7 @@ pub fn generate_workload_jobs(
 /// Runs data generation over a whole benchmark suite with global fan-out:
 /// reference timelines run in parallel across benchmarks, then every
 /// (benchmark, breakpoint, operating point) replay becomes one job on the
-/// shared work-stealing pool, so a long benchmark's replays keep all
+/// shared compute pool, so a long benchmark's replays keep all
 /// workers busy while short benchmarks finish. Returns one dataset per
 /// benchmark, in input order, each byte-identical to a sequential
 /// [`generate`] run on that benchmark.

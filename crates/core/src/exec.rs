@@ -1,165 +1,43 @@
-//! Shared work-stealing execution pool for embarrassingly parallel jobs.
+//! Order-preserving parallel maps for embarrassingly parallel jobs.
 //!
 //! Data generation replays hundreds of independent millisecond-scale
-//! simulation jobs ([`crate::generate_workload`]), and the benchmark runner
-//! fans governor comparisons out across benchmarks. Both funnel through
-//! [`parallel_map_indexed`]: jobs are distributed round-robin into
-//! per-worker deques, workers drain their own deque LIFO and steal FIFO
-//! from the global injector or from peers when they run dry, and every
-//! result is written into a pre-sized, disjoint output slot so no lock is
-//! held around result collection. Output order always matches input order,
-//! which is what makes parallel data generation byte-identical to the
-//! sequential path.
+//! simulation jobs ([`crate::generate_workload`]), and the benchmark
+//! binaries fan governor comparisons out across benchmarks. Both funnel
+//! through [`parallel_map_indexed`], a thin shell over the workspace's one
+//! compute pool, [`tinynn::par::Pool`]: every call runs on a team sized to
+//! its job count, each item is claimed by exactly one worker (the caller
+//! included), and every result lands in its own output slot. Output order
+//! always matches input order, which is what makes parallel data
+//! generation byte-identical to the sequential path.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+pub use tinynn::par::effective_jobs;
+use tinynn::Pool;
 
-/// Resolves a requested worker count: `0` means "one per available core".
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    }
-}
-
-/// Write-only view of the output vector handing each job its own slot.
-///
-/// Safety rests on index uniqueness: every job index is enqueued exactly
-/// once, so no two threads ever write the same slot.
-struct SlotWriter<R> {
-    ptr: *mut Option<R>,
-}
-
-unsafe impl<R: Send> Sync for SlotWriter<R> {}
-
-impl<R> SlotWriter<R> {
-    /// # Safety
-    ///
-    /// `index` must be in bounds and claimed by exactly one caller.
-    unsafe fn write(&self, index: usize, value: R) {
-        unsafe { *self.ptr.add(index) = Some(value) };
-    }
-}
-
-/// Finds the next task; the flag reports whether it was stolen (from the
-/// injector or a peer) rather than popped from the worker's own deque.
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-) -> Option<(T, bool)> {
-    if let Some(task) = local.pop() {
-        return Some((task, false));
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(task) => return Some((task, true)),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    for stealer in stealers {
-        loop {
-            match stealer.steal() {
-                Steal::Success(task) => return Some((task, true)),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
+/// A team for `items` work items: `jobs` workers (`0` = one per core), but
+/// never more than there are items.
+fn pool_for(jobs: usize, items: usize) -> Pool {
+    Pool::new(effective_jobs(jobs).min(items.max(1)))
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads (`0` = one per
 /// core), passing each item's input index alongside it. Results come back
 /// in input order regardless of which worker ran which item.
 ///
-/// Tasks never spawn sub-tasks, so once every deque and the injector are
-/// observed empty a worker can safely retire.
-///
 /// # Panics
 ///
-/// Propagates a panic from `f`: the first panicking worker's payload is
-/// captured and resumed on the calling thread, so `panic!` messages and
-/// downcastable payloads survive the pool intact. Remaining workers stop
-/// picking up new tasks once a panic is observed.
+/// Propagates a panic from `f`: the first panicking item's payload is
+/// resumed on the calling thread, so `panic!` messages and downcastable
+/// payloads survive the pool intact. Items not yet started when a panic is
+/// observed are skipped.
 pub fn parallel_map_indexed<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let workers = effective_jobs(jobs).min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let slots = SlotWriter { ptr: results.as_mut_ptr() };
-
-    let injector: Injector<(usize, T)> = Injector::new();
-    let locals: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = locals.iter().map(Worker::stealer).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        locals[i % workers].push((i, item));
-    }
-
-    let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let panicked = AtomicBool::new(false);
-
-    crossbeam::scope(|scope| {
-        for (w, local) in locals.into_iter().enumerate() {
-            let stealers = &stealers;
-            let injector = &injector;
-            let slots = &slots;
-            let f = &f;
-            let first_panic = &first_panic;
-            let panicked = &panicked;
-            scope.spawn(move |_| {
-                let _span = obs::span!("exec", "exec.worker#{w}");
-                let _prof = obs::prof::scope("exec.worker");
-                let (mut executed, mut stolen) = (0u64, 0u64);
-                while !panicked.load(Ordering::Relaxed) {
-                    let Some(((i, item), was_stolen)) = find_task(&local, injector, stealers)
-                    else {
-                        break;
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                        // SAFETY: each index was enqueued exactly once.
-                        Ok(r) => unsafe { slots.write(i, r) },
-                        Err(payload) => {
-                            panicked.store(true, Ordering::Relaxed);
-                            let mut slot = first_panic
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            break;
-                        }
-                    }
-                    executed += 1;
-                    stolen += u64::from(was_stolen);
-                }
-                obs::counter!("exec.tasks_executed").inc(executed);
-                obs::counter!("exec.tasks_stolen").inc(stolen);
-            });
-        }
-    })
-    .expect("worker threads must not panic");
-
-    if let Some(payload) =
-        first_panic.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        resume_unwind(payload);
-    }
-
-    results.into_iter().map(|r| r.expect("every slot filled")).collect()
+    pool_for(jobs, items.len()).map(items, f)
 }
 
 /// Borrowing convenience over [`parallel_map_indexed`] for callers that
@@ -242,11 +120,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Fault-tolerant variant of [`parallel_map_indexed`]: a panicking work
-/// unit is quarantined and re-queued onto the pool for a fresh attempt (its
-/// previous attempt's stack fully unwound) up to `policy.max_retries`
+/// unit is quarantined and retried in the next round — a fresh attempt, its
+/// previous attempt's stack fully unwound — up to `policy.max_retries`
 /// times, then dropped with a logged warning instead of aborting the sweep.
-/// The caller gets `None` in the dropped unit's slot plus a [`FaultReport`]
-/// naming every casualty — the sweep itself always completes.
+/// Each round maps the still-failing units over one team. The caller gets
+/// `None` in the dropped unit's slot plus a [`FaultReport`] naming every
+/// casualty — the sweep itself always completes.
 ///
 /// The closure takes `&T` (not `T`) precisely so a unit survives its own
 /// panic and can be retried.
@@ -261,97 +140,33 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = effective_jobs(jobs).min(items.len().max(1));
-    let retries = std::sync::atomic::AtomicU64::new(0);
-    let dropped: Mutex<Vec<FaultRecord>> = Mutex::new(Vec::new());
-
+    let pool = pool_for(jobs, items.len());
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-
-    // Attempt one unit once, returning the panic payload on failure.
-    let attempt = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-
-    if workers <= 1 || items.len() <= 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                match attempt(i) {
-                    Ok(r) => {
-                        *slot = Some(r);
-                        break;
-                    }
-                    Err(payload) if attempts <= policy.max_retries => {
-                        let _ = payload;
-                        retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(payload) => {
-                        dropped.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(
-                            FaultRecord {
-                                index: i,
-                                attempts,
-                                message: panic_message(payload.as_ref()),
-                            },
-                        );
-                        break;
-                    }
+    let mut report = FaultReport::default();
+    let mut pending: Vec<usize> = (0..items.len()).collect();
+    let mut attempts = 0;
+    while !pending.is_empty() {
+        attempts += 1;
+        let outcomes =
+            pool.map(pending, |_, i| (i, catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))));
+        pending = Vec::new();
+        // Outcomes arrive in ascending index order, so `dropped` does too.
+        for (i, outcome) in outcomes {
+            match outcome {
+                Ok(r) => results[i] = Some(r),
+                Err(_) if attempts <= policy.max_retries => {
+                    report.retries += 1;
+                    pending.push(i);
                 }
+                Err(payload) => report.dropped.push(FaultRecord {
+                    index: i,
+                    attempts,
+                    message: panic_message(payload.as_ref()),
+                }),
             }
         }
-    } else {
-        // Tasks are (input index, attempt number). Retries go through the
-        // global injector, so whichever worker runs dry first picks the
-        // quarantined unit up for a clean re-run.
-        let injector: Injector<(usize, usize)> = Injector::new();
-        let locals: Vec<Worker<(usize, usize)>> =
-            (0..workers).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<(usize, usize)>> = locals.iter().map(Worker::stealer).collect();
-        for i in 0..items.len() {
-            locals[i % workers].push((i, 1));
-        }
-        let slots = SlotWriter { ptr: results.as_mut_ptr() };
-
-        crossbeam::scope(|scope| {
-            for local in locals {
-                let stealers = &stealers;
-                let injector = &injector;
-                let slots = &slots;
-                let attempt = &attempt;
-                let retries = &retries;
-                let dropped = &dropped;
-                scope.spawn(move |_| {
-                    while let Some(((i, attempts), _)) = find_task(&local, injector, stealers) {
-                        match attempt(i) {
-                            // SAFETY: an index is in flight on exactly one
-                            // worker at a time — it is either freshly enqueued
-                            // or re-pushed by the worker that just failed it.
-                            Ok(r) => unsafe { slots.write(i, r) },
-                            Err(payload) if attempts <= policy.max_retries => {
-                                let _ = payload;
-                                retries.fetch_add(1, Ordering::Relaxed);
-                                // Re-queue before this worker looks for other
-                                // work, so the retry cannot be orphaned.
-                                injector.push((i, attempts + 1));
-                            }
-                            Err(payload) => dropped
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push(FaultRecord {
-                                    index: i,
-                                    attempts,
-                                    message: panic_message(payload.as_ref()),
-                                }),
-                        }
-                    }
-                });
-            }
-        })
-        .expect("quarantine workers never propagate panics");
     }
-
-    let mut dropped = dropped.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    dropped.sort_by_key(|rec| rec.index);
-    let report = FaultReport { retries: retries.load(Ordering::Relaxed), dropped };
     obs::counter!("exec.quarantine_retries").inc(report.retries);
     obs::counter!("exec.quarantine_dropped").inc(report.dropped.len() as u64);
     for rec in &report.dropped {

@@ -10,12 +10,12 @@
 //!
 //! Elimination rounds are inherently sequential (each round retrains on the
 //! survivors of the previous one), but *within* a round two stages fan
-//! out, one after the other: the retrain shards its minibatch gradients
-//! over a persistent [`TrainPool`], and the per-column
-//! permutation-importance evaluations run on
-//! [`crate::exec::parallel_map_indexed`]. Both stages draw on the same
-//! `opts.jobs` budget and never overlap, so RFE×SGD nesting cannot
-//! oversubscribe the host. Every `(column, repeat)` shuffle draws from its
+//! out, one after the other, on one persistent [`Pool`] of `opts.jobs`
+//! workers: the retrain shards its minibatch gradients with [`Pool::run`],
+//! and the per-column permutation-importance evaluations run as
+//! [`Pool::map`] on the same team. No round spawns threads, and the two
+//! stages never overlap, so RFE×SGD nesting cannot oversubscribe the
+//! host. Every `(column, repeat)` shuffle draws from its
 //! own [`splitmix64`]-derived seed inside [`tinynn::column_importance`] and
 //! the sharded gradient reduces in fixed index order, so the importance
 //! vector — and therefore the selected feature set — is byte-identical to
@@ -25,11 +25,10 @@ use gpu_sim::{CounterCategory, CounterId};
 use serde::{Deserialize, Serialize};
 use tinynn::{
     accuracy, column_importance, splitmix64, train_classifier_parallel_with, ClassificationData,
-    Matrix, Mlp, Normalizer, TrainConfig, TrainPool, TrainScratch,
+    Matrix, Mlp, Normalizer, Pool, TrainConfig, TrainScratch,
 };
 
 use crate::datagen::DvfsDataset;
-use crate::exec;
 use crate::features::FeatureSet;
 use crate::model::ModelArch;
 
@@ -89,7 +88,7 @@ fn train_and_score(
     data: &ClassificationData,
     seed: u64,
     config: &TrainConfig,
-    pool: &TrainPool,
+    pool: &Pool,
     scratch: &mut TrainScratch,
 ) -> (Mlp, Normalizer, ClassificationData, f64) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -152,12 +151,9 @@ pub fn select_features_with(
     assert!(opts.importance_repeats > 0, "at least one importance repeat is required");
     let candidate_set = FeatureSet::new(candidates.clone());
     let full_data = dataset.decision_data(&candidate_set, num_ops);
-    // One worker team and one scratch serve every retrain of the run. The
-    // retrain (pool-parallel SGD) and importance fan-out
-    // (`exec::parallel_map_indexed`) are sequential phases, so the two
-    // parallel stages share the single `opts.jobs` budget instead of
-    // oversubscribing the host.
-    let pool = TrainPool::new(opts.jobs);
+    // One worker team and one scratch serve every retrain and every
+    // importance fan-out of the run.
+    let pool = Pool::new(opts.jobs);
     let mut scratch = TrainScratch::new();
     let (_, _, _, full_accuracy) = train_and_score(
         &full_data,
@@ -192,10 +188,9 @@ pub fn select_features_with(
         let baseline = score(&val.x);
         let pi_seed = splitmix64(round_seed);
         obs::counter!("rfe.parallel_tasks").inc(active.len() as u64);
-        let importance =
-            exec::parallel_map_indexed(opts.jobs, (0..active.len()).collect(), |_, col| {
-                column_importance(&val.x, score, baseline, col, opts.importance_repeats, pi_seed)
-            });
+        let importance = pool.map((0..active.len()).collect(), |_, col| {
+            column_importance(&val.x, score, baseline, col, opts.importance_repeats, pi_seed)
+        });
         let weakest = importance
             .iter()
             .enumerate()

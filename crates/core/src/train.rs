@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tinynn::{
     accuracy, mape, splitmix64, train_classifier_parallel_with, train_regressor_parallel_with,
-    ClassificationData, Mlp, Normalizer, RegressionData, TrainConfig, TrainPool, TrainScratch,
+    ClassificationData, Mlp, Normalizer, Pool, RegressionData, TrainConfig, TrainScratch,
 };
 
 use crate::datagen::DvfsDataset;
@@ -117,7 +117,7 @@ pub fn train_prepared(
     prep: &PreparedSplits,
     arch: &ModelArch,
     config: &TrainConfig,
-    pool: &TrainPool,
+    pool: &Pool,
     scratch: &mut TrainScratch,
 ) -> (CombinedModel, TrainSummary) {
     let _span = obs::span!("train", "train_combined:{} samples", prep.samples);
@@ -219,7 +219,7 @@ pub fn train_combined_jobs(
     jobs: usize,
 ) -> (CombinedModel, TrainSummary) {
     let prep = PreparedSplits::prepare(dataset, features, num_ops, config, val_frac);
-    let pool = TrainPool::new(jobs);
+    let pool = Pool::new(jobs);
     // Both heads train through one scratch: the buffers are sized by the
     // first head and re-shaped (without reallocating what already fits)
     // for the second.

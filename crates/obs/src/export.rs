@@ -47,7 +47,6 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "exec.quarantine_dropped",
     "exec.quarantine_retries",
     "exec.tasks_executed",
-    "exec.tasks_stolen",
     "power.epoch_energy_evals",
     "rfe.parallel_tasks",
     "rfe.rounds",
@@ -317,6 +316,7 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_all_instrument_kinds() {
+        let _guard = crate::test_lock();
         let r = Registry::new();
         crate::set_enabled(true);
         r.counter("sim.cache_hits").inc(3);
@@ -354,6 +354,7 @@ mod tests {
 
     #[test]
     fn server_serves_metrics_json_and_healthz() {
+        let _guard = crate::test_lock();
         let registry = test_registry();
         let server = MetricsServer::start_with("127.0.0.1:0", registry).expect("bind");
         let addr = server.local_addr().to_string();

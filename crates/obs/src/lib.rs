@@ -88,6 +88,16 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Serializes this crate's unit tests that flip the global [`enabled`]
+/// flag or drain the global trace buffers, so no test turns recording off
+/// or steals events while another is recording.
+#[cfg(test)]
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the `()` it guards cannot be broken.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Opens a [`trace::Span`] without paying for name formatting when
 /// observability is disabled.
 ///

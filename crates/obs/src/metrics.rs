@@ -292,6 +292,7 @@ mod tests {
     use super::*;
 
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         let r = f();
         crate::set_enabled(false);
@@ -326,11 +327,13 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("x");
         let g = r.gauge("y");
+        let guard = crate::test_lock();
         crate::set_enabled(false);
         c.inc(5);
         g.set(2.5);
         assert_eq!(c.get(), 0, "disabled counter must not move");
         assert_eq!(g.get(), 0.0, "disabled gauge must not move");
+        drop(guard);
         with_enabled(|| {
             c.inc(5);
             g.set(2.5);
@@ -427,6 +430,7 @@ mod bucket_properties {
         let h = Histogram::default();
         let nasty =
             [f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, f64::MIN_POSITIVE / 2.0, f64::EPSILON];
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         for v in nasty {
             h.record(v);

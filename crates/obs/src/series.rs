@@ -220,6 +220,7 @@ mod tests {
 
     fn registry_with(counts: &[(&str, u64)]) -> Registry {
         let r = Registry::new();
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         for &(name, n) in counts {
             r.counter(name).inc(n);
@@ -233,10 +234,12 @@ mod tests {
         let r = registry_with(&[("a", 10), ("b", 1)]);
         let ts = TimeSeries::new(8);
         ts.sample_with_uptime(&r, 0.0);
+        let guard = crate::test_lock();
         crate::set_enabled(true);
         r.counter("a").inc(20);
         r.counter("c").inc(4);
         crate::set_enabled(false);
+        drop(guard);
         ts.sample_with_uptime(&r, 2.0);
         let w = ts.window(10).expect("two samples retained");
         assert_eq!(w.samples, 2);

@@ -213,6 +213,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _guard = crate::test_lock();
         crate::set_enabled(false);
         {
             let _s = span("ignored", "test");
@@ -225,6 +226,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_export_as_chrome_trace() {
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         {
             let _outer = span("outer-span-test", "test");
@@ -250,6 +252,7 @@ mod tests {
 
     #[test]
     fn cross_thread_events_all_drain() {
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         let handles: Vec<_> = (0..4)
             .map(|i| {

@@ -17,7 +17,9 @@
 //! * [`permutation_importance`], [`recursive_feature_elimination`] — the
 //!   RFE feature selection of Table I;
 //! * [`Normalizer`], [`ClassificationData`], [`RegressionData`] — dataset
-//!   plumbing shared by offline training and the runtime controller.
+//!   plumbing shared by offline training and the runtime controller;
+//! * [`Pool`] — the workspace's one compute pool, a persistent worker team
+//!   behind the sharded training loops, RFE and `ssmdvfs::exec`.
 //!
 //! # Examples
 //!
@@ -48,7 +50,7 @@ mod matrix;
 mod metrics;
 mod mlp;
 mod optim;
-mod par;
+pub mod par;
 mod prune;
 mod quant;
 mod select;
@@ -64,7 +66,7 @@ pub use matrix::Matrix;
 pub use metrics::{accuracy, argmax, confusion_matrix, mape, mape_counted, mean_class_distance};
 pub use mlp::{Activation, Dense, ForwardCache, Gradients, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use par::TrainPool;
+pub use par::Pool;
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
 pub use quant::{Int8Net, QuantizedMlp};
 pub use select::{

@@ -1,23 +1,26 @@
-//! A persistent worker team for the sharded training loops.
+//! The workspace's one compute pool: a persistent worker team.
 //!
-//! The minibatch gradient fan-out runs every ~100 µs, far too often to pay
-//! thread spawn/join per batch (the crossbeam-scope pools used by the outer
-//! pipelines spawn per call). [`TrainPool`] keeps its workers alive across
-//! an entire training run — and across the dozens of retrains of an RFE or
+//! Every fan-out of the offline flow runs here: the minibatch gradient
+//! shards of SGD (every ~100 µs, far too often to pay thread spawn/join per
+//! batch), the per-column permutation importance of each RFE round, and —
+//! through `ssmdvfs::exec` — every (benchmark, breakpoint, operating point)
+//! replay of data generation. [`Pool`] keeps its workers alive across an
+//! entire training run — and across the dozens of retrains of an RFE or
 //! compression sweep — and hands them work through a generation counter:
 //! the caller publishes a task, bumps the generation, and every worker
 //! (plus the caller itself) claims shard indices from a shared atomic until
-//! none remain.
+//! none remain. [`Pool::run`] is that primitive; [`Pool::map`] builds an
+//! ordered, fail-fast map over owned items on top of it.
 //!
 //! Workers spin briefly on the generation counter before sleeping on a
 //! condvar, so the wake latency between two back-to-back batches (separated
 //! only by an optimizer step) is a few loads, not a scheduler round-trip.
 //!
 //! Determinism is not this module's concern — shard *scheduling* is free to
-//! vary run to run. The training loops guarantee byte-identical results by
-//! deriving the shard count from the batch size alone and reducing shard
-//! gradients in fixed index order; the pool only decides which thread
-//! computes which shard, never what is computed.
+//! vary run to run. Callers guarantee byte-identical results by deriving
+//! the shard count from the data alone (the training loops: from the batch
+//! size) and combining results in fixed index order; the pool only decides
+//! which thread computes which shard, never what is computed.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +34,7 @@ const SPIN_ITERS: u32 = 1 << 14;
 
 /// A lifetime-erased pointer to the caller's shard task. Protocol: the
 /// pointer is published under the state mutex and never dereferenced after
-/// [`TrainPool::run`] returns (run blocks until every shard completed), so
+/// [`Pool::run`] returns (run blocks until every shard completed), so
 /// the erased borrow is always live while workers hold it.
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync));
@@ -82,31 +85,37 @@ fn claim_base(generation: u64) -> u64 {
     (generation as u32 as u64) << 32
 }
 
-/// A persistent thread team for data-parallel training (see the module
-/// docs). `jobs = 1` is the serial mode: no threads are spawned and
-/// [`TrainPool::run`] executes every shard inline, which is also the code
-/// path the determinism proptests compare the parallel schedules against.
-pub struct TrainPool {
+/// Resolves a requested worker count: `0` means "one per available core".
+pub fn effective_jobs(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+}
+
+/// A persistent thread team (see the module docs). `jobs = 1` is the serial
+/// mode: no threads are spawned and [`Pool::run`] executes every shard
+/// inline, which is also the code path the determinism proptests compare
+/// the parallel schedules against.
+pub struct Pool {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     jobs: usize,
 }
 
-impl std::fmt::Debug for TrainPool {
+impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainPool").field("jobs", &self.jobs).finish()
+        f.debug_struct("Pool").field("jobs", &self.jobs).finish()
     }
 }
 
-impl TrainPool {
-    /// A team of `jobs` workers (`0` = one per core). The calling thread
-    /// participates in every run, so `jobs - 1` threads are spawned.
-    pub fn new(jobs: usize) -> TrainPool {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            jobs
-        };
+impl Pool {
+    /// A team of `jobs` workers ([`effective_jobs`]: `0` = one per core).
+    /// The calling thread participates in every run, so `jobs - 1` threads
+    /// are spawned.
+    pub fn new(jobs: usize) -> Pool {
+        let jobs = effective_jobs(jobs);
         let inner = Arc::new(Inner {
             state: Mutex::new(TeamState {
                 generation: 0,
@@ -126,22 +135,80 @@ impl TrainPool {
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
-                    .name(format!("tinynn-train-{i}"))
+                    .name(format!("tinynn-pool-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    .expect("spawning a training worker must succeed")
+                    .expect("spawning a pool worker must succeed")
             })
             .collect();
-        TrainPool { inner, workers, jobs }
+        Pool { inner, workers, jobs }
     }
 
     /// The serial pool: no threads, every shard runs inline on the caller.
-    pub fn serial() -> TrainPool {
-        TrainPool::new(1)
+    pub fn serial() -> Pool {
+        Pool::new(1)
     }
 
     /// Worker count (including the calling thread).
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// Maps `f` over `items` across the team, passing each item's input
+    /// index alongside it, and returns the results in input order whichever
+    /// worker ran which item. Each item is moved into its task exactly once
+    /// and each result is written into its own slot.
+    ///
+    /// # Panics
+    ///
+    /// Fails fast: once an item panics, items not yet started are skipped
+    /// (and dropped unrun), and the first panic payload is resumed on the
+    /// caller, so `panic!` messages and downcastable payloads survive the
+    /// pool intact. The pool itself stays usable.
+    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let count = items.len();
+        // One slot per index: `run` hands every index to exactly one task,
+        // so each lock is taken uncontended, once to move the item out and
+        // once to store its result.
+        let inputs: Vec<Mutex<Option<T>>> =
+            items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let outputs: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
+        // A hint that publishes no data (payloads travel through `run`), so
+        // Relaxed suffices.
+        let failed = AtomicBool::new(false);
+        self.run(count, &|i| {
+            if failed.load(Ordering::Relaxed) {
+                return;
+            }
+            let item = inputs[i]
+                .lock()
+                .expect("no task panics while holding an input slot")
+                .take()
+                .expect("run hands each index to exactly one task");
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(r) => {
+                    *outputs[i].lock().expect("no task panics while holding an output slot") =
+                        Some(r);
+                }
+                Err(payload) => {
+                    failed.store(true, Ordering::Relaxed);
+                    panic::resume_unwind(payload);
+                }
+            }
+        });
+        obs::counter!("exec.tasks_executed").inc(count as u64);
+        outputs
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("no task panics while holding an output slot")
+                    .expect("without a panic every task stores its result")
+            })
+            .collect()
     }
 
     /// Executes `task(0..shards)` across the team and blocks until every
@@ -167,8 +234,8 @@ impl TrainPool {
         let ptr: TaskPtr = TaskPtr(unsafe { std::mem::transmute(ptr) });
         let generation;
         {
-            let mut st = self.inner.state.lock().expect("train pool state");
-            debug_assert!(st.task.is_none(), "TrainPool::run is not reentrant");
+            let mut st = self.inner.state.lock().expect("pool state");
+            debug_assert!(st.task.is_none(), "Pool::run is not reentrant");
             st.task = Some(ptr);
             st.shards = shards;
             st.completed = 0;
@@ -183,9 +250,9 @@ impl TrainPool {
         }
         self.inner.wake.notify_all();
         claim_shards(&self.inner, task, shards, generation);
-        let mut st = self.inner.state.lock().expect("train pool state");
+        let mut st = self.inner.state.lock().expect("pool state");
         while st.completed < st.shards {
-            st = self.inner.done.wait(st).expect("train pool state");
+            st = self.inner.done.wait(st).expect("pool state");
         }
         st.task = None;
         let payload = st.panic.take();
@@ -196,10 +263,10 @@ impl TrainPool {
     }
 }
 
-impl Drop for TrainPool {
+impl Drop for Pool {
     fn drop(&mut self) {
         {
-            let mut st = self.inner.state.lock().expect("train pool state");
+            let mut st = self.inner.state.lock().expect("pool state");
             st.shutdown = true;
             self.inner.shutdown.store(true, Ordering::Release);
         }
@@ -241,7 +308,7 @@ fn claim_shards(inner: &Inner, task: &(dyn Fn(usize) + Sync), shards: usize, gen
             return;
         }
         let result = panic::catch_unwind(AssertUnwindSafe(|| task(i)));
-        let mut st = inner.state.lock().expect("train pool state");
+        let mut st = inner.state.lock().expect("pool state");
         if let Err(p) = result {
             if st.panic.is_none() {
                 st.panic = Some(p);
@@ -272,7 +339,7 @@ fn worker_loop(inner: &Inner) {
             std::hint::spin_loop();
         }
         let (task, shards) = {
-            let mut st = inner.state.lock().expect("train pool state");
+            let mut st = inner.state.lock().expect("pool state");
             loop {
                 if st.shutdown {
                     return;
@@ -286,7 +353,7 @@ fn worker_loop(inner: &Inner) {
                         None => continue,
                     }
                 }
-                st = inner.wake.wait(st).expect("train pool state");
+                st = inner.wake.wait(st).expect("pool state");
             }
         };
         // SAFETY: generation-tagged claims (see `claim_shards`) ensure the
@@ -305,7 +372,7 @@ mod tests {
 
     #[test]
     fn serial_pool_runs_inline() {
-        let pool = TrainPool::serial();
+        let pool = Pool::serial();
         assert_eq!(pool.jobs(), 1);
         let hits = AtomicU32::new(0);
         pool.run(5, &|_| {
@@ -316,7 +383,7 @@ mod tests {
 
     #[test]
     fn every_shard_runs_exactly_once() {
-        let pool = TrainPool::new(4);
+        let pool = Pool::new(4);
         for shards in [1usize, 2, 3, 7, 16, 64] {
             let marks: Vec<AtomicU32> = (0..shards).map(|_| AtomicU32::new(0)).collect();
             pool.run(shards, &|s| {
@@ -332,7 +399,7 @@ mod tests {
     fn many_generations_back_to_back() {
         // The cadence of a real training run: hundreds of tiny fan-outs
         // with no pause in between.
-        let pool = TrainPool::new(3);
+        let pool = Pool::new(3);
         let total = AtomicU32::new(0);
         for _ in 0..500 {
             pool.run(8, &|_| {
@@ -344,7 +411,7 @@ mod tests {
 
     #[test]
     fn shard_panic_propagates_and_pool_survives() {
-        let pool = TrainPool::new(2);
+        let pool = Pool::new(2);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(4, &|s| {
                 if s == 2 {
@@ -365,12 +432,104 @@ mod tests {
 
     #[test]
     fn zero_jobs_means_one_per_core() {
-        let pool = TrainPool::new(0);
+        let pool = Pool::new(0);
         assert!(pool.jobs() >= 1);
         let hits = AtomicU32::new(0);
         pool.run(10, &|_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn map_returns_results_in_input_order() {
+        let pool = Pool::new(3);
+        let out = pool.map((0..1_000u64).collect(), |i, x| {
+            assert_eq!(i as u64, x);
+            x * 7
+        });
+        assert_eq!(out, (0..1_000).map(|x| x * 7).collect::<Vec<_>>());
+    }
+
+    /// An owned, non-`Clone` item that counts its drops.
+    struct Tracked<'a> {
+        id: usize,
+        drops: &'a AtomicU32,
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn map_moves_each_item_exactly_once() {
+        let drops = AtomicU32::new(0);
+        let calls: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
+        let items = (0..200).map(|id| Tracked { id, drops: &drops }).collect();
+        let out = Pool::new(4).map(items, |i, item: Tracked<'_>| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            item.id
+        });
+        assert_eq!(out, (0..200).collect::<Vec<_>>());
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert_eq!(drops.load(Ordering::Relaxed), 200, "each item dropped once, by its task");
+
+        // Fail-fast on the serial pool: the items after the panicking one
+        // never run, and are still dropped exactly once.
+        drops.store(0, Ordering::Relaxed);
+        let ran = AtomicU32::new(0);
+        let items: Vec<Tracked<'_>> = (0..10).map(|id| Tracked { id, drops: &drops }).collect();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            Pool::serial().map(items, |_, item| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                assert_ne!(item.id, 3, "item 3 fails");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 4, "items 4.. are skipped");
+        assert_eq!(drops.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn map_panic_payload_reaches_caller_and_pool_survives() {
+        let pool = Pool::new(3);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map((0..64u32).collect(), |_, x| {
+                if x == 17 {
+                    panic!("item {x} exploded");
+                }
+                x
+            })
+        }));
+        let payload = caught.expect_err("the item panic must propagate");
+        let msg = payload.downcast_ref::<String>().expect("the original String payload");
+        assert_eq!(msg, "item 17 exploded");
+        assert_eq!(pool.map(vec![1u32, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
+        let hits = AtomicU32::new(0);
+        pool.run(5, &|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn run_map_run_rounds_share_one_team() {
+        // RFE's cadence: each round retrains (`run`), fans the importance
+        // evaluations out (`map`), and the next round retrains again.
+        let pool = Pool::new(2);
+        for round in 0..50u32 {
+            let hits = AtomicU32::new(0);
+            pool.run(8, &|_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            let scores = pool.map((0..10u32).collect(), |_, c| c * round);
+            assert_eq!(scores, (0..10).map(|c| c * round).collect::<Vec<_>>());
+            pool.run(8, &|_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 16);
+        }
     }
 }

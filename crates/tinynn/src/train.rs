@@ -17,7 +17,7 @@
 //! sums are then folded in **fixed ascending shard order**
 //! ([`Gradients::accumulate_into`]) and divided by the full batch size
 //! once. This sharded computation *is* the canonical algorithm: the serial
-//! entry points run it inline on a one-worker [`TrainPool`], and the
+//! entry points run it inline on a one-worker [`Pool`], and the
 //! `*_parallel_with` variants run the identical shards on a persistent
 //! worker team — so a trained model is byte-identical at any `jobs`
 //! (proptest-enforced), the same determinism contract as every other
@@ -43,7 +43,7 @@ use crate::matrix::Matrix;
 use crate::metrics::{accuracy, mape};
 use crate::mlp::{ForwardCache, Gradients, Mlp};
 use crate::optim::{Adam, Optimizer};
-use crate::par::TrainPool;
+use crate::par::Pool;
 use crate::prune::ZeroMask;
 
 /// Target rows per gradient shard. Small enough that the default batch of
@@ -248,7 +248,7 @@ fn reduce_shards(shards: &[ShardScratch], grads: &mut Gradients, rows: usize) {
 fn forward_gathered(
     mlp: &Mlp,
     x: &Matrix,
-    pool: &TrainPool,
+    pool: &Pool,
     shards: &mut Vec<ShardScratch>,
     out: &mut Matrix,
 ) {
@@ -287,7 +287,7 @@ fn classifier_batch_step(
     train: &ClassificationData,
     batch: &[usize],
     class_weights: Option<&[f32]>,
-    pool: &TrainPool,
+    pool: &Pool,
     shards: &mut [ShardScratch],
     grads: &mut Gradients,
 ) -> f32 {
@@ -326,7 +326,7 @@ fn regressor_batch_step(
     mlp: &Mlp,
     train: &RegressionData,
     batch: &[usize],
-    pool: &TrainPool,
+    pool: &Pool,
     shards: &mut [ShardScratch],
     grads: &mut Gradients,
 ) -> f32 {
@@ -403,11 +403,11 @@ pub fn train_classifier_with(
     mask: Option<&ZeroMask>,
     scratch: &mut TrainScratch,
 ) -> TrainReport {
-    train_classifier_parallel_with(mlp, train, val, config, mask, scratch, &TrainPool::serial())
+    train_classifier_parallel_with(mlp, train, val, config, mask, scratch, &Pool::serial())
 }
 
 /// [`train_classifier_with`] with the shard fan-out running on a
-/// caller-owned [`TrainPool`]. The trained model, report and every
+/// caller-owned [`Pool`]. The trained model, report and every
 /// intermediate float are **byte-identical** to the serial entry points at
 /// any worker count: the shard partition depends only on the batch size
 /// and the reduction order is fixed (see the module docs).
@@ -422,7 +422,7 @@ pub fn train_classifier_parallel_with(
     config: &TrainConfig,
     mask: Option<&ZeroMask>,
     scratch: &mut TrainScratch,
-    pool: &TrainPool,
+    pool: &Pool,
 ) -> TrainReport {
     assert_eq!(mlp.output_size(), train.num_classes, "output width must equal class count");
     assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
@@ -554,10 +554,10 @@ pub fn train_regressor_with(
     mask: Option<&ZeroMask>,
     scratch: &mut TrainScratch,
 ) -> TrainReport {
-    train_regressor_parallel_with(mlp, train, val, config, mask, scratch, &TrainPool::serial())
+    train_regressor_parallel_with(mlp, train, val, config, mask, scratch, &Pool::serial())
 }
 
-/// [`train_regressor_with`] on a caller-owned [`TrainPool`] — byte-identical
+/// [`train_regressor_with`] on a caller-owned [`Pool`] — byte-identical
 /// to the serial entry points at any worker count (see
 /// [`train_classifier_parallel_with`]).
 ///
@@ -571,7 +571,7 @@ pub fn train_regressor_parallel_with(
     config: &TrainConfig,
     mask: Option<&ZeroMask>,
     scratch: &mut TrainScratch,
-    pool: &TrainPool,
+    pool: &Pool,
 ) -> TrainReport {
     assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
     let _span = obs::span!("train", "train_regressor:{} rows", train.len());
@@ -771,7 +771,7 @@ mod tests {
         let data = toy_classification(45, 21);
         let mut rng = StdRng::seed_from_u64(22);
         let (train, val) = data.split(0.2, &mut rng);
-        let pool = TrainPool::new(4);
+        let pool = Pool::new(4);
         for batch_size in [1usize, train.len() - 1, 13] {
             let cfg = TrainConfig { epochs: 4, batch_size, ..TrainConfig::default() };
             let init = Mlp::new(&[2, 8, 3], &mut StdRng::seed_from_u64(23));
@@ -830,7 +830,7 @@ mod tests {
             &mut TrainScratch::new(),
         );
         for jobs in [2usize, 4, 7] {
-            let pool = TrainPool::new(jobs);
+            let pool = Pool::new(jobs);
             let mut scratch = TrainScratch::new();
             let mut par_cls = init_cls.clone();
             let pc = train_classifier_parallel_with(

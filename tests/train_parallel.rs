@@ -9,8 +9,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use tinynn::{
     grad_shards, shard_span, train_classifier_parallel_with, train_classifier_with,
-    train_regressor_parallel_with, train_regressor_with, ClassificationData, Matrix, Mlp,
-    RegressionData, TrainConfig, TrainPool, TrainScratch,
+    train_regressor_parallel_with, train_regressor_with, ClassificationData, Matrix, Mlp, Pool,
+    RegressionData, TrainConfig, TrainScratch,
 };
 
 /// A seeded random classification set (the vendored proptest has no
@@ -65,7 +65,7 @@ proptest! {
         let serial_report =
             train_classifier_with(&mut serial, &train, &val, &cfg, None, &mut TrainScratch::new());
         for jobs in [1usize, 2, 4, 7] {
-            let pool = TrainPool::new(jobs);
+            let pool = Pool::new(jobs);
             let mut parallel = init.clone();
             let report = train_classifier_parallel_with(
                 &mut parallel,
@@ -104,7 +104,7 @@ proptest! {
         let serial_report =
             train_regressor_with(&mut serial, &train, &val, &cfg, None, &mut TrainScratch::new());
         for jobs in [2usize, 4, 7] {
-            let pool = TrainPool::new(jobs);
+            let pool = Pool::new(jobs);
             let mut parallel = init.clone();
             let report = train_regressor_parallel_with(
                 &mut parallel,
