@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, full test suite, and a
-# smoke run of the datagen perf baseline. Run from the repo root; every
-# step must pass. See README.md ("Install & build").
+# Local CI gate: formatting, lints, release build, full test suite, perf
+# baseline smokes, CLI smokes and short runs of the benchmark's serving
+# workloads. Run from the repo root; every step must pass. See README.md
+# ("Install & build").
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,23 +65,6 @@ print(f"sim baseline: {b['naive_cycles_per_sec']:.3g} -> "
       f"{b['skipped_fraction']*100:.1f}% skipped); replay cache "
       f"{b['cache_cold_secs']:.2f}s cold -> {b['cache_warm_secs']:.2f}s warm "
       f"({b['cache_warm_hits']} hits)")
-EOF
-
-echo "==> serve perf baseline (smoke, JSON well-formed, decisions identical)"
-cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --serve
-python3 - <<'EOF'
-import json
-b = json.load(open("target/ssmdvfs-artifacts/BENCH_serve.json"))
-for key in ("single_throughput_rps", "batched_throughput_rps", "speedup",
-            "batched_p50_us", "batched_p99_us", "mean_batch_occupancy"):
-    assert b[key] > 0, (key, b)
-assert b["smoke"] is True, b
-assert b["decisions_identical"] is True, "batching changed a decision"
-assert b["deadline_misses"] == 0, b
-print(f"serve baseline: {b['single_throughput_rps']:.0f} -> "
-      f"{b['batched_throughput_rps']:.0f} req/s ({b['speedup']:.2f}x), "
-      f"mean batch {b['mean_batch_occupancy']:.1f}, "
-      f"p99 {b['batched_p99_us']:.0f} us")
 EOF
 
 echo "==> decide perf baseline (smoke, plan beats reference oracle, decisions identical)"
@@ -176,7 +160,7 @@ cmp "$OBS_TMP/cache-cold.json" "$OBS_TMP/cache-warm.json"
 grep -q "cache hits" "$OBS_TMP/cache-inspect.log"
 
 echo "==> fleet smoke (batched serving drives a small fleet, 0 panics)"
-# A tiny fleet through the micro-batching decision service; the metrics
+# A tiny fleet through the flat-combining decision service; the metrics
 # snapshot must surface the serve plane, including the deadline-miss
 # counter pre-registered at zero.
 "$SSMDVFS_BIN" fleet --gpus 3 --max-batch 4 --shards 1 --jobs 2 \
@@ -212,6 +196,16 @@ assert warm.get("sim.cache_misses", 0) == 0, warm
 print(f"replay cache: {cold['sim.cache_misses']} misses cold, "
       f"{warm['sim.cache_hits']} hits warm; dataset bytes identical")
 EOF
+
+echo "==> benchmark serving workloads (serve-load and fleet, every check ok)"
+# Short runs of the repo benchmark's two serving workloads. bench_e2e exits
+# 1 when any `check` fails: an answer that falls back or differs from a
+# sequential plan replay, an unanswered request, or an unfinished fleet GPU.
+cargo build --offline --release --manifest-path bench_e2e/Cargo.toml
+for workload in serve-load fleet; do
+  bench_e2e/target/release/bench_e2e --workload "$workload" \
+    --seed 1 --seconds 2 --trace 0
+done
 
 echo "==> train-determinism smoke (--jobs 1 and --jobs 4 models byte-identical)"
 # The sharded-gradient SGD engine must produce the same serialized model at

@@ -1,6 +1,6 @@
 //! Perf-regression baselines for the offline pipeline.
 //!
-//! Two sections, selected by flag:
+//! Four sections, selected by flag:
 //!
 //! * default (or `--datagen`): sequential vs parallel
 //!   `generate_workload_jobs` throughput and the per-breakpoint checkpoint
@@ -14,10 +14,6 @@
 //!   cycles/sec on a memory-bound workload (byte-identical results, checked
 //!   here too), `Arc`-shared snapshot cost, and replay-cache cold vs warm
 //!   datagen wall-clock — written to `BENCH_sim.json`.
-//! * `--serve`: decision-serving throughput — the sharded micro-batching
-//!   service at `--max-batch 1` (single-request baseline) vs `32`, with
-//!   p50/p99 decision latency, batch occupancy and a decision-stream
-//!   identity check between the two modes — written to `BENCH_serve.json`.
 //! * `--decide`: single-decision latency — ns/inference for the INT8
 //!   kernel on the compressed decision head, ns/decision for the allocating
 //!   model-method oracle vs the compiled `DecisionPlan` (exact, INT8 and
@@ -38,7 +34,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use ssmdvfs::exec::effective_jobs;
-use ssmdvfs::serve::{DecisionRequest, DecisionService, ServeConfig, ServeStats};
 use ssmdvfs::{
     generate_suite_with, generate_workload_jobs, select_features_with, CombinedModel,
     DataGenConfig, DecisionPlan, DvfsDataset, RawSample, ReplayCache, RfeOptions, SsmdvfsConfig,
@@ -479,165 +474,6 @@ fn run_train(smoke: bool) {
 }
 
 #[derive(Serialize)]
-struct ServeBaseline {
-    smoke: bool,
-    /// Concurrent client threads submitting decision requests.
-    clients: usize,
-    requests_per_client: usize,
-    max_batch: usize,
-    single_throughput_rps: f64,
-    batched_throughput_rps: f64,
-    /// Batched vs single-request throughput (the headline number).
-    speedup: f64,
-    single_p50_us: f64,
-    single_p99_us: f64,
-    batched_p50_us: f64,
-    batched_p99_us: f64,
-    /// Mean requests answered per batched forward pass at `max_batch`.
-    mean_batch_occupancy: f64,
-    deadline_misses: u64,
-    /// Whether both modes produced byte-identical per-client decision
-    /// streams (batching must never change a decision).
-    decisions_identical: bool,
-}
-
-/// Deterministic synthetic epoch counters for client `c`'s request `i` —
-/// identical across runs so the two serve modes see the same stream.
-fn serve_counters(c: usize, i: usize) -> EpochCounters {
-    let v = gpu_sim::mix_seed(0x5e21, (c as u64) << 32 | i as u64);
-    let mut counters = EpochCounters::zeroed();
-    counters[CounterId::TotalCycles] = 1_000.0;
-    counters[CounterId::TotalInstrs] = 400.0 + (v % 800) as f64;
-    counters[CounterId::IntAluInstrs] = 150.0 + (v % 101) as f64;
-    counters[CounterId::LoadGlobalInstrs] = 40.0 + (v % 31) as f64;
-    counters[CounterId::StallMemLoad] = 100.0 + (v % 211) as f64;
-    counters[CounterId::StallEmpty] = (v % 97) as f64;
-    counters[CounterId::L1ReadAccess] = 80.0 + (v % 17) as f64;
-    counters[CounterId::L1ReadMiss] = (v % 41) as f64;
-    counters.recompute_derived();
-    counters
-}
-
-/// Hammers one service with `clients` threads × `requests` pipelined
-/// submissions each; returns per-client decision streams, all latencies in
-/// µs, wall-clock seconds and the service stats.
-fn time_serve(
-    model: &std::sync::Arc<CombinedModel>,
-    table: &gpu_sim::VfTable,
-    clients: usize,
-    requests: usize,
-    max_batch: usize,
-) -> (Vec<Vec<usize>>, Vec<f64>, f64, ServeStats) {
-    let service = DecisionService::start(
-        std::sync::Arc::clone(model),
-        SsmdvfsConfig::new(0.10),
-        table.clone(),
-        ServeConfig { shards: 1, max_batch, queue_depth: 256, deadline: None },
-    );
-    let t0 = Instant::now();
-    let per_client: Vec<(Vec<usize>, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let client = service.client();
-                scope.spawn(move || {
-                    let mut ops = Vec::with_capacity(requests);
-                    let mut lats = Vec::with_capacity(requests);
-                    let mut i = 0;
-                    // Pipeline a window of submissions before collecting so
-                    // the queue stays deep enough for the batcher to fill
-                    // real batches.
-                    while i < requests {
-                        let window = 64.min(requests - i);
-                        let pending: Vec<_> = (0..window)
-                            .map(|k| {
-                                client.submit(DecisionRequest {
-                                    gpu: c,
-                                    cluster: 0,
-                                    counters: serve_counters(c, i + k),
-                                })
-                            })
-                            .collect();
-                        for p in pending {
-                            let d = p.wait();
-                            ops.push(d.op_index);
-                            lats.push(d.latency.as_secs_f64() * 1e6);
-                        }
-                        i += window;
-                    }
-                    (ops, lats)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("serve client panicked")).collect()
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let stats = service.shutdown();
-    let mut streams = Vec::with_capacity(clients);
-    let mut lats = Vec::with_capacity(clients * requests);
-    for (ops, l) in per_client {
-        streams.push(ops);
-        lats.extend(l);
-    }
-    (streams, lats, elapsed, stats)
-}
-
-fn percentile_us(lats: &mut [f64], q: f64) -> f64 {
-    if lats.is_empty() {
-        return 0.0;
-    }
-    lats.sort_by(f64::total_cmp);
-    lats[((lats.len() - 1) as f64 * q).round() as usize]
-}
-
-fn run_serve(smoke: bool) {
-    let (clients, requests) = if smoke { (8, 256) } else { (32, 4_096) };
-    let max_batch = 32;
-    let table = GpuConfig::small_test().vf_table;
-    let model = std::sync::Arc::new(CombinedModel::synthetic(table.len(), 7));
-    eprintln!("[perf_baseline] serve: {clients} clients x {requests} requests, max-batch 1 vs {max_batch}");
-
-    let (single_ops, mut single_lats, single_secs, _) =
-        time_serve(&model, &table, clients, requests, 1);
-    let (batched_ops, mut batched_lats, batched_secs, stats) =
-        time_serve(&model, &table, clients, requests, max_batch);
-
-    let total = (clients * requests) as f64;
-    let baseline = ServeBaseline {
-        smoke,
-        clients,
-        requests_per_client: requests,
-        max_batch,
-        single_throughput_rps: total / single_secs,
-        batched_throughput_rps: total / batched_secs,
-        speedup: single_secs / batched_secs,
-        single_p50_us: percentile_us(&mut single_lats, 0.50),
-        single_p99_us: percentile_us(&mut single_lats, 0.99),
-        batched_p50_us: percentile_us(&mut batched_lats, 0.50),
-        batched_p99_us: percentile_us(&mut batched_lats, 0.99),
-        mean_batch_occupancy: stats.mean_batch(),
-        deadline_misses: stats.deadline_misses,
-        decisions_identical: single_ops == batched_ops,
-    };
-    assert!(
-        baseline.decisions_identical,
-        "batched decision streams diverged from the single-request baseline"
-    );
-    let path = artifacts_dir().join("BENCH_serve.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    std::fs::write(&path, &json).expect("baseline must be writable");
-    println!("{json}");
-    println!(
-        "[perf_baseline] serve {:.0} req/s single vs {:.0} req/s batched ({:.2}x), p99 {:.1} µs, mean batch {:.1} -> {}",
-        baseline.single_throughput_rps,
-        baseline.batched_throughput_rps,
-        baseline.speedup,
-        baseline.batched_p99_us,
-        baseline.mean_batch_occupancy,
-        path.display()
-    );
-}
-
-#[derive(Serialize)]
 struct DecideBaseline {
     smoke: bool,
     /// Timed iterations per measurement (each taken as the best of several
@@ -876,9 +712,8 @@ fn main() {
         || std::env::var_os("SSMDVFS_SMOKE").is_some_and(|v| v != "0");
     let train = args.iter().any(|a| a == "--train");
     let sim = args.iter().any(|a| a == "--sim");
-    let serve = args.iter().any(|a| a == "--serve");
     let decide = args.iter().any(|a| a == "--decide");
-    let datagen = args.iter().any(|a| a == "--datagen") || (!train && !sim && !serve && !decide);
+    let datagen = args.iter().any(|a| a == "--datagen") || (!train && !sim && !decide);
     if datagen {
         run_datagen(smoke);
     }
@@ -887,9 +722,6 @@ fn main() {
     }
     if sim {
         run_sim(smoke);
-    }
-    if serve {
-        run_serve(smoke);
     }
     if decide {
         run_decide(smoke);

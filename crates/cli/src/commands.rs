@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::time::Duration;
 
 use dvfs_baselines::{
     run_oracle, FlemmaConfig, FlemmaGovernor, OndemandConfig, OndemandGovernor, PcstallConfig,
@@ -33,6 +34,29 @@ type CmdResult = Result<String, ParseArgsError>;
 
 fn err(message: impl Into<String>) -> ParseArgsError {
     ParseArgsError::new(message)
+}
+
+/// A `--*-us` option: a non-negative, finite number of microseconds that
+/// fits a `Duration`. Anything else is a typed error naming the option, not
+/// a panic in `Time::from_micros` or `Duration::from_secs_f64`.
+fn micros(args: &Args, key: &str, default: f64) -> Result<f64, ParseArgsError> {
+    let us = args.get_f64(key, default)?;
+    match Duration::try_from_secs_f64(us * 1e-6) {
+        Ok(_) => Ok(us),
+        Err(_) => Err(ParseArgsError::invalid_value(
+            key,
+            args.get(key).unwrap_or_default(),
+            "a non-negative, finite number of microseconds",
+        )),
+    }
+}
+
+/// A count option that must be at least 1.
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ParseArgsError> {
+    match args.get_usize(key, default)? {
+        0 => Err(ParseArgsError::invalid_value(key, "0", "a positive integer")),
+        n => Ok(n),
+    }
 }
 
 /// An error attributed to a named pipeline stage, so the binary's
@@ -170,7 +194,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     let cfg = gpu_config(args)?;
     let bench = benchmark(args)?;
     let preset = args.get_f64("preset", 0.10)?;
-    let horizon = Time::from_micros(args.get_f64("horizon-us", 20_000.0)?);
+    let horizon = Time::from_micros(micros(args, "horizon-us", 20_000.0)?);
     let governor_name = args.get("governor").unwrap_or("static");
     let audit_out = args.get("audit-out");
     let audit_cap = args.get_usize("audit-cap", 4096)?;
@@ -245,16 +269,10 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// `fleet`.
 pub fn fleet(args: &Args) -> CmdResult {
     let cfg = gpu_config(args)?;
-    let gpus = args.get_usize("gpus", 4)?;
-    if gpus == 0 {
-        return Err(err("--gpus must be at least 1"));
-    }
-    let jobs = match args.get_usize("jobs", 0)? {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
+    let gpus = positive(args, "gpus", 4)?;
+    let jobs = ssmdvfs::exec::effective_jobs(args.get_usize("jobs", 0)?);
     let preset = args.get_f64("preset", 0.10)?;
-    let horizon = Time::from_micros(args.get_f64("horizon-us", 2_000.0)?);
+    let horizon = Time::from_micros(micros(args, "horizon-us", 2_000.0)?);
     let name = args.get("benchmark").unwrap_or("sgemm");
     let bench = by_name(name)
         .ok_or_else(|| err(format!("unknown benchmark '{name}'; see 'ssmdvfs list-benchmarks'")))?;
@@ -264,13 +282,12 @@ pub fn fleet(args: &Args) -> CmdResult {
     }
     let bench = bench.scaled(scale);
 
-    let deadline_us = args.get_f64("deadline-us", 0.0)?;
+    let deadline_us = micros(args, "deadline-us", 0.0)?;
     let serve = ServeConfig {
-        shards: args.get_usize("shards", 1)?.max(1),
-        max_batch: args.get_usize("max-batch", 32)?.max(1),
-        queue_depth: args.get_usize("queue-depth", 256)?.max(1),
-        deadline: (deadline_us > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(deadline_us * 1e-6)),
+        shards: positive(args, "shards", 1)?,
+        max_batch: positive(args, "max-batch", 32)?,
+        queue_depth: positive(args, "queue-depth", 256)?,
+        deadline: (deadline_us > 0.0).then(|| Duration::from_secs_f64(deadline_us * 1e-6)),
     };
     // With no --model, serve a deterministic synthetic head: enough to
     // exercise and benchmark the batching plane without a training run.
@@ -989,6 +1006,38 @@ mod tests {
         assert!(fleet(&args).unwrap_err().to_string().contains("--gpus"));
         let args = Args::parse(["fleet", "--gpus", "1", "--benchmark", "nope"]).unwrap();
         assert!(fleet(&args).unwrap_err().to_string().contains("unknown benchmark"));
+        for (command, option, value) in [
+            ("fleet", "deadline-us", "inf"),
+            ("fleet", "deadline-us", "1e300"),
+            ("fleet", "deadline-us", "-5"),
+            ("fleet", "deadline-us", "NaN"),
+            ("fleet", "horizon-us", "-1"),
+            ("fleet", "horizon-us", "NaN"),
+            ("fleet", "horizon-us", "inf"),
+            ("fleet", "shards", "0"),
+            ("fleet", "max-batch", "0"),
+            ("fleet", "queue-depth", "0"),
+            ("simulate", "horizon-us", "-1"),
+        ] {
+            let option_flag = format!("--{option}");
+            let args = Args::parse([
+                command,
+                "--benchmark",
+                "lbm",
+                "--gpus",
+                "1",
+                "--clusters",
+                "2",
+                "--scale",
+                "0.02",
+                &option_flag,
+                value,
+            ])
+            .unwrap();
+            let e = if command == "fleet" { fleet(&args) } else { simulate(&args) }.unwrap_err();
+            assert_eq!(e.kind(), crate::args::ErrorKind::InvalidValue, "{option} {value}: {e}");
+            assert!(e.to_string().contains(&option_flag), "{e}");
+        }
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Fault-injection drills: deterministic fail points fired inside the
-//! datagen worker pool, with and without quarantine mode.
+//! datagen worker pool, with and without quarantine mode, and inside a
+//! decision-serving combiner.
 //!
 //! These tests live in their own integration binary because fail points are
 //! process-global: sharing a binary with unrelated parallel tests would let
 //! an armed fail point leak into them.
 
-use gpu_sim::{GpuConfig, Time};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
+
+use gpu_sim::{EpochCounters, GpuConfig, Time};
 use gpu_workloads::Benchmark;
 use ssmdvfs::exec::FaultPolicy;
-use ssmdvfs::{failpoint, generate_suite_with, DataGenConfig, SuiteOptions};
+use ssmdvfs::{
+    failpoint, generate_suite_with, CombinedModel, DataGenConfig, DecisionRequest, DecisionService,
+    PendingDecision, ServeConfig, SsmdvfsConfig, SuiteOptions,
+};
 
 fn small_suite() -> (Vec<Benchmark>, GpuConfig, DataGenConfig) {
     let cfg = GpuConfig::small_test();
@@ -22,6 +30,14 @@ fn small_suite() -> (Vec<Benchmark>, GpuConfig, DataGenConfig) {
         .map(|n| gpu_workloads::by_name(n).expect("suite benchmark").scaled(0.05))
         .collect();
     (benches, cfg, dg)
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+    }
 }
 
 // One #[test] driving every scenario sequentially: fail points are
@@ -73,6 +89,37 @@ fn fault_injection_scenarios() {
     let payload = result.expect_err("without quarantine the panic must propagate");
     let msg = payload.downcast_ref::<String>().expect("panic message survives the pool");
     assert!(msg.contains("failpoint datagen.replay#0"), "got: {msg}");
+
+    // Scenario 4: a decision-serving combiner panics on its first
+    // decision. Its caller's `wait` re-raises the fail point's panic; the
+    // shard is poisoned, so every other pending request, a later decision
+    // and the shutdown panic with the poison message instead of hanging.
+    let table = cfg.vf_table.clone();
+    let model = Arc::new(CombinedModel::synthetic(table.len(), 9));
+    let service =
+        DecisionService::start(model, SsmdvfsConfig::new(0.1), table, ServeConfig::default());
+    let client = service.client();
+    let counters = EpochCounters::zeroed();
+    failpoint::arm("serve.decide", 0, 1);
+    let mut pending: Vec<PendingDecision> = (0..4)
+        .map(|gpu| client.submit(DecisionRequest { gpu, cluster: 0, counters: counters.clone() }))
+        .collect();
+    let combiner = pending.remove(0);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| combiner.wait()));
+    failpoint::disarm_all();
+    let msg = panic_message(result.expect_err("the combiner's panic must reach its caller"));
+    assert!(msg.contains("failpoint serve.decide#0"), "got: {msg}");
+    for p in pending {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| p.wait()));
+        let msg = panic_message(result.expect_err("a poisoned shard must not answer"));
+        assert!(msg.contains("shard poisoned"), "got: {msg}");
+    }
+    let result = panic::catch_unwind(AssertUnwindSafe(|| client.decide(1, 0, &counters)));
+    let msg = panic_message(result.expect_err("a poisoned shard must refuse new requests"));
+    assert!(msg.contains("shard poisoned"), "got: {msg}");
+    let result = panic::catch_unwind(AssertUnwindSafe(|| service.shutdown()));
+    let msg = panic_message(result.expect_err("shutdown reports the poisoned shard"));
+    assert!(msg.contains("shard poisoned"), "got: {msg}");
 
     // Fail points must leave no residue for later runs.
     assert!(!failpoint::any_armed());
