@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, release build, full test suite, perf
-# baseline smokes, CLI smokes and short runs of the benchmark's serving
+# baseline smokes, CLI smokes and short runs of the benchmark's four
 # workloads. Run from the repo root; every step must pass. See README.md
 # ("Install & build").
 set -euo pipefail
@@ -197,14 +197,22 @@ print(f"replay cache: {cold['sim.cache_misses']} misses cold, "
       f"{warm['sim.cache_hits']} hits warm; dataset bytes identical")
 EOF
 
-echo "==> benchmark serving workloads (serve-load and fleet, every check ok)"
-# Short runs of the repo benchmark's two serving workloads. bench_e2e exits
-# 1 when any `check` fails: an answer that falls back or differs from a
-# sequential plan replay, an unanswered request, or an unfinished fleet GPU.
+echo "==> benchmark workloads (all four, every check ok, seed-7 paper numbers pinned)"
+# Short runs of the repo benchmark's four workloads. bench_e2e exits 1 when
+# any `check` fails: a pipeline pass that fails an output check or differs
+# from the first pass, a replayed decision that differs from the recording,
+# an answer that falls back or differs from a sequential plan replay, an
+# unanswered request, or an unfinished fleet GPU. The seed-7 pipeline must
+# also print the paper numbers below digit for digit: any change to them is
+# a declared behaviour change.
 cargo build --offline --release --manifest-path bench_e2e/Cargo.toml
-for workload in serve-load fleet; do
-  bench_e2e/target/release/bench_e2e --workload "$workload" \
-    --seed 1 --seconds 2 --trace 0
+BENCH_E2E=bench_e2e/target/release/bench_e2e
+"$BENCH_E2E" --workload paper-pipeline --seed 7 --seconds 2 --trace 0 \
+  | tee "$OBS_TMP/paper-pipeline.log"
+grep -qxF 'quality: accuracy 0.7310606060606061  calibrator MAPE 2.7986321803497387%  EDP 0.8264543708122039 full / 0.8131783633926426 compressed  8 preset violations  RFE ["compute_instr_ratio", "occupancy", "mem_stall_frac", "l1_read_access", "power_total_w"]' \
+  "$OBS_TMP/paper-pipeline.log"
+for workload in decide-replay serve-load fleet; do
+  "$BENCH_E2E" --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
 
 echo "==> train-determinism smoke (--jobs 1 and --jobs 4 models byte-identical)"

@@ -38,7 +38,8 @@ impl CacheConfig {
         CacheConfig { capacity_bytes, line_bytes, ways }
     }
 
-    /// Titan-X-class per-SM L1 data cache: 24 KiB, 128 B lines, 4-way.
+    /// Titan-X-class per-SM L1 data cache: 24 KiB, 128 B lines, 6-way (32
+    /// sets).
     pub fn titan_x_l1() -> CacheConfig {
         CacheConfig::new(24 * 1024, 128, 6)
     }

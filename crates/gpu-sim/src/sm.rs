@@ -6,8 +6,24 @@
 //! greedy-then-oldest scheduler issues up to `issue_width` instructions
 //! from ready warps. Cycles in which nothing can issue are attributed to a
 //! stall cause — the raw material of the paper's execution-stall counters.
+//!
+//! The default engine is event-driven. Ready warps live in a bitset over
+//! warp slots and waiting warps in a min-heap keyed by wake time, and the
+//! live and per-cause waiting counts are updated as warps launch, issue,
+//! wake, pass a barrier and retire. A cycle therefore costs
+//! O(issues + wakes) instead of a scan of every resident warp, and a cycle
+//! in which nothing can issue jumps straight to the next wake-up. Slots are
+//! always in age order (CTAs are appended with increasing ages and retired
+//! with an order-preserving `retain`), so greedy-then-oldest is "the
+//! last-issued warp if it is ready, then the lowest ready slots". This
+//! scheduling state is derived, not persisted: it is rebuilt from the warps
+//! when an epoch starts and after a CTA retires (retirement shifts slot
+//! indices), so neither an [`SmCore`] nor its snapshots carry it.
+//! [`EngineMode::NaiveTick`] keeps the per-cycle scan of every warp as the
+//! reference the equivalence tests compare against.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -19,19 +35,22 @@ use crate::memory::{ClusterMemory, MemLevel};
 use crate::time::Time;
 use crate::warp::{WaitCause, Warp, WarpState};
 
-/// How the cycle loop advances through stretches where no warp can issue.
+/// Which cycle loop runs an epoch.
 ///
-/// Both engines produce bit-identical counters, epoch records and results —
-/// `CycleSkip` merely batches the accounting for cycles whose outcome is
-/// already known (every live warp waiting on an event with a known wake
-/// time). `NaiveTick` is kept as the reference implementation the
-/// equivalence proptests compare against.
+/// Both engines produce bit-identical counters, epoch records and results:
+/// `crates/gpu-sim/tests/engine_equivalence.rs` checks them against each
+/// other on random workloads, and `tests/sim_golden.rs` checks both against
+/// digests of the evaluation programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EngineMode {
-    /// Reference engine: tick every core cycle individually.
+    /// Reference engine: every core cycle, scan every resident warp to wake
+    /// sleepers, count stall causes and rank issue candidates, and tick one
+    /// cycle at a time. It exists to check the default engine against.
     NaiveTick,
-    /// Fast engine: when nothing can issue, jump straight to the earliest
-    /// wake-up (or the end of the epoch when the SM is empty).
+    /// The event-driven engine every run uses: a ready set and a wake heap
+    /// replace the scan, and when nothing can issue the loop jumps straight
+    /// to the earliest wake-up (or the end of the epoch when the SM is
+    /// empty).
     #[default]
     CycleSkip,
 }
@@ -62,6 +81,192 @@ pub struct SmCore {
     finish_time: Option<Time>,
 }
 
+/// The cycle grid of one epoch.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    start: Time,
+    cycles: u64,
+    period_ps: u64,
+}
+
+impl Clock {
+    /// Start time of cycle `c`.
+    fn at(self, c: u64) -> Time {
+        self.start + Time::from_ps(c * self.period_ps)
+    }
+}
+
+/// Per-epoch sums that become averaged counters when the epoch ends.
+#[derive(Debug, Default)]
+struct Tally {
+    mem_lat_sum_ns: f64,
+    mem_lat_count: u64,
+    occupancy_sum: u128,
+    skipped: u64,
+}
+
+impl Tally {
+    /// Occupancy and activity of one cycle, whether or not it issues.
+    fn cycle(&mut self, census: Census, counters: &mut EpochCounters) {
+        self.occupancy_sum += census.live as u128;
+        if census.live > 0 {
+            counters[CounterId::ActiveCycles] += 1.0;
+        }
+    }
+}
+
+/// Live warps at the start of a cycle and, among them, those waiting on
+/// each cause: all that the stall attribution of the cycle reads.
+#[derive(Debug, Default, Clone, Copy)]
+struct Census {
+    live: u32,
+    load: u32,
+    store: u32,
+    ctrl: u32,
+    exec: u32,
+}
+
+impl Census {
+    /// The count of warps waiting on `cause`.
+    fn waiting(&mut self, cause: WaitCause) -> &mut u32 {
+        match cause {
+            WaitCause::MemLoad => &mut self.load,
+            WaitCause::MemStore => &mut self.store,
+            WaitCause::Control => &mut self.ctrl,
+            WaitCause::Exec => &mut self.exec,
+        }
+    }
+
+    /// The counter a cycle in which nothing issues is charged to.
+    fn stall_cause(&self) -> CounterId {
+        if self.live == 0 {
+            CounterId::StallEmpty
+        } else if self.load > 0 {
+            CounterId::StallMemLoad
+        } else if self.store > 0 {
+            CounterId::StallMemOther
+        } else if self.ctrl > 0 {
+            CounterId::StallControl
+        } else if self.exec > 0 {
+            CounterId::StallDataDep
+        } else {
+            // Every live warp is at a barrier; release is immediate on
+            // parking, so this indicates a logic error.
+            debug_assert!(false, "all warps at barrier without release");
+            CounterId::StallBarrier
+        }
+    }
+}
+
+/// A waiting warp in the wake heap. It is ordered by wake time alone,
+/// earliest first: warps due at the same time all wake in the same cycle,
+/// so their relative order does not matter.
+#[derive(Debug, Clone, Copy)]
+struct Wake {
+    until: Time,
+    slot: usize,
+}
+
+impl PartialEq for Wake {
+    fn eq(&self, other: &Wake) -> bool {
+        self.until == other.until
+    }
+}
+
+impl Eq for Wake {}
+
+impl PartialOrd for Wake {
+    fn partial_cmp(&self, other: &Wake) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Wake {
+    fn cmp(&self, other: &Wake) -> Ordering {
+        other.until.cmp(&self.until)
+    }
+}
+
+/// The event-driven engine's scheduling state, derived from the warps.
+#[derive(Debug)]
+struct Sched {
+    /// Bit `i` is set when `warps[i]` is ready.
+    ready: Vec<u64>,
+    /// Waiting warps, earliest wake-up on top.
+    wakes: BinaryHeap<Wake>,
+    census: Census,
+    /// Slot of the last-issued warp while it is resident.
+    last: Option<usize>,
+}
+
+impl Sched {
+    fn new(max_warps: usize) -> Sched {
+        Sched {
+            ready: vec![0; max_warps.div_ceil(64)],
+            wakes: BinaryHeap::with_capacity(max_warps),
+            census: Census::default(),
+            last: None,
+        }
+    }
+
+    /// Rebuilds the state from `warps`, whose slot indices may have moved.
+    fn rebuild(&mut self, warps: &[Warp], last_issued_age: u64) {
+        debug_assert!(warps.windows(2).all(|w| w[0].age < w[1].age), "slots are in age order");
+        self.ready.fill(0);
+        self.wakes.clear();
+        self.census = Census::default();
+        for (i, w) in warps.iter().enumerate() {
+            match w.state {
+                WarpState::Ready => self.set_ready(i),
+                WarpState::Waiting { until, cause } => self.wait(i, until, cause),
+                WarpState::AtBarrier => {}
+                WarpState::Finished => continue,
+            }
+            self.census.live += 1;
+        }
+        self.last = warps.binary_search_by_key(&last_issued_age, |w| w.age).ok();
+    }
+
+    fn set_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn is_ready(&self, slot: usize) -> bool {
+        self.ready[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn wait(&mut self, slot: usize, until: Time, cause: WaitCause) {
+        self.wakes.push(Wake { until, slot });
+        *self.census.waiting(cause) += 1;
+    }
+
+    /// Fills `picks` with up to `width` ready slots in greedy-then-oldest
+    /// order: the last-issued warp first, then the lowest (oldest) slots.
+    fn pick(&self, width: usize, picks: &mut Vec<usize>) {
+        picks.clear();
+        if let Some(last) = self.last.filter(|&l| self.is_ready(l)) {
+            picks.push(last);
+        }
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                if picks.len() == width {
+                    return;
+                }
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if Some(slot) != self.last {
+                    picks.push(slot);
+                }
+            }
+        }
+    }
+}
+
 impl SmCore {
     /// Creates an idle SM with capacity for `max_warps` resident warps that
     /// issues up to `issue_width` instructions per cycle.
@@ -89,8 +294,8 @@ impl SmCore {
     ///
     /// # Panics
     ///
-    /// Panics if the SM still has resident warps, or if a single CTA needs
-    /// more warp slots than the SM has.
+    /// Panics if the SM still has resident warps, if a single CTA needs
+    /// more warp slots than the SM has, or if an id appears twice.
     pub fn assign_kernel(
         &mut self,
         kernel: impl Into<Arc<KernelSpec>>,
@@ -106,6 +311,9 @@ impl SmCore {
             kernel.warps_per_cta(),
             self.max_warps
         );
+        let mut sorted = cta_ids.clone();
+        sorted.sort_unstable();
+        assert!(sorted.windows(2).all(|w| w[0] != w[1]), "CTA ids must be distinct");
         self.kernel = Some(kernel);
         self.kernel_seed = seed;
         self.pending_ctas = cta_ids.into();
@@ -127,6 +335,9 @@ impl SmCore {
         self.warps.len()
     }
 
+    /// Launches pending CTAs while their warps fit. A CTA's warps take
+    /// consecutive slots, so with distinct CTA ids every resident CTA
+    /// occupies the slots `[k * wpc, (k + 1) * wpc)` for some `k`.
     fn launch_ctas(&mut self) {
         let Some(kernel) = &self.kernel else { return };
         let wpc = kernel.warps_per_cta();
@@ -152,6 +363,25 @@ impl SmCore {
                 if w.cta_id == cta_id && w.state == WarpState::AtBarrier {
                     w.state = WarpState::Ready;
                 }
+            }
+        }
+    }
+
+    /// [`SmCore::maybe_release_barrier`] for the CTA in `slot`, looking
+    /// only at that CTA's slots and marking released warps ready in
+    /// `sched`.
+    fn release_barrier_in(&mut self, slot: usize, sched: &mut Sched) {
+        let wpc = self.kernel.as_ref().expect("a resident warp has a kernel").warps_per_cta();
+        let base = slot - slot % wpc;
+        let cta = &mut self.warps[base..base + wpc];
+        debug_assert!(cta.iter().all(|w| w.cta_id == cta[0].cta_id), "CTA slots are aligned");
+        if cta.iter().any(|w| w.is_live() && w.state != WarpState::AtBarrier) {
+            return;
+        }
+        for (i, w) in cta.iter_mut().enumerate() {
+            if w.state == WarpState::AtBarrier {
+                w.state = WarpState::Ready;
+                sched.set_ready(base + i);
             }
         }
     }
@@ -188,7 +418,7 @@ impl SmCore {
     }
 
     /// Runs the SM for `cycles` core cycles under an explicit engine mode.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     pub fn run_epoch_mode(
         &mut self,
         mode: EngineMode,
@@ -201,44 +431,60 @@ impl SmCore {
     ) -> EpochOutcome {
         use CounterId::*;
         let start_instrs = counters[TotalInstrs];
-        let mut mem_lat_sum_ns = 0.0;
-        let mut mem_lat_count = 0u64;
-        let mut occupancy_sum = 0u128;
-        let mut skipped = 0u64;
-        let mut c = 0u64;
+        let clock = Clock { start: epoch_start, cycles, period_ps };
+        let mut tally = Tally::default();
+        match mode {
+            EngineMode::NaiveTick => self.run_ticks(clock, mem, lat, counters, &mut tally),
+            EngineMode::CycleSkip => self.run_events(clock, mem, lat, counters, &mut tally),
+        }
 
-        while c < cycles {
-            let now = epoch_start + Time::from_ps(c * period_ps);
+        counters[TotalCycles] += cycles as f64;
+        if cycles > 0 {
+            counters[Occupancy] =
+                tally.occupancy_sum as f64 / (cycles as f64 * self.max_warps as f64);
+        }
+        if tally.mem_lat_count > 0 {
+            counters[AvgMemLatencyNs] = tally.mem_lat_sum_ns / tally.mem_lat_count as f64;
+        }
+        counters.recompute_derived();
+
+        EpochOutcome {
+            instructions: (counters[TotalInstrs] - start_instrs) as u64,
+            finished_at: self.finish_time,
+            skipped_cycles: tally.skipped,
+        }
+    }
+
+    /// The reference loop: each cycle scans every resident warp to wake
+    /// sleepers, take the census and rank the issue candidates, and stalls
+    /// advance one cycle at a time.
+    fn run_ticks(
+        &mut self,
+        clock: Clock,
+        mem: &mut ClusterMemory,
+        lat: &LatencyTable,
+        counters: &mut EpochCounters,
+        tally: &mut Tally,
+    ) {
+        let mut c = 0u64;
+        while c < clock.cycles {
+            let now = clock.at(c);
             self.launch_ctas();
 
-            // Single scan: wake sleeping warps, classify blockers, and find
-            // issue candidates (greedy: the last-issued warp first, then
-            // oldest ready).
-            let mut n_live = 0u32;
-            let mut n_load = 0u32;
-            let mut n_store = 0u32;
-            let mut n_ctrl = 0u32;
-            let mut n_exec = 0u32;
-            let mut next_wake: Option<Time> = None;
-            // (age, index) of up to `issue_width` best candidates; the
+            // (rank, index) of up to `issue_width` best candidates; the
             // last-issued warp is ranked first by treating its age as 0.
+            let mut census = Census::default();
             let mut picks: Vec<(u64, usize)> = Vec::with_capacity(self.issue_width + 1);
             for (i, w) in self.warps.iter_mut().enumerate() {
                 if !w.is_live() {
                     continue;
                 }
-                n_live += 1;
+                census.live += 1;
                 if let WarpState::Waiting { until, cause } = w.state {
                     if until <= now {
                         w.state = WarpState::Ready;
                     } else {
-                        next_wake = Some(next_wake.map_or(until, |t: Time| t.min(until)));
-                        match cause {
-                            WaitCause::MemLoad => n_load += 1,
-                            WaitCause::MemStore => n_store += 1,
-                            WaitCause::Control => n_ctrl += 1,
-                            WaitCause::Exec => n_exec += 1,
-                        }
+                        *census.waiting(cause) += 1;
                         continue;
                     }
                 }
@@ -250,113 +496,174 @@ impl SmCore {
             picks.sort_unstable();
             picks.truncate(self.issue_width);
 
-            occupancy_sum += n_live as u128;
-            if n_live > 0 {
-                counters[ActiveCycles] += 1.0;
-            }
-
+            tally.cycle(census, counters);
             if picks.is_empty() {
-                // Stall cycle(s): attribute and — under `CycleSkip` —
-                // fast-forward to the next wake-up (or the end of the epoch
-                // when nothing is pending). No warp, memory or scheduler
-                // state can change before the earliest wake time, so the
-                // per-cycle accounting below is exact for the whole jump.
-                let delta = match mode {
-                    EngineMode::NaiveTick => 1,
-                    EngineMode::CycleSkip => match next_wake {
-                        Some(t) => {
-                            // The warp wakes on the first cycle whose start
-                            // time reaches `t`: ceil(gap / period) ticks.
-                            let gap_ps = t.saturating_sub(now).as_ps();
-                            gap_ps.div_ceil(period_ps).max(1).min(cycles - c)
-                        }
-                        None => cycles - c,
-                    },
-                };
-                let cause = if n_live == 0 {
-                    StallEmpty
-                } else if n_load > 0 {
-                    StallMemLoad
-                } else if n_store > 0 {
-                    StallMemOther
-                } else if n_ctrl > 0 {
-                    StallControl
-                } else if n_exec > 0 {
-                    StallDataDep
-                } else {
-                    // Every live warp is at a barrier; release is immediate
-                    // on parking, so this indicates a logic error.
-                    debug_assert!(false, "all warps at barrier without release");
-                    StallBarrier
-                };
-                counters[cause] += delta as f64;
-                if n_live > 0 {
-                    counters[ActiveCycles] += (delta - 1) as f64;
-                }
-                occupancy_sum += n_live as u128 * (delta - 1) as u128;
-                skipped += delta - 1;
-                c += delta;
-                if n_live == 0
-                    && self.pending_ctas.is_empty()
-                    && self.finish_time.is_none()
-                    && self.kernel.is_some()
-                {
-                    self.finish_time = Some(now);
-                }
+                self.stall(census, now, 1, counters, tally);
+                c += 1;
                 continue;
             }
 
-            counters[IssuedCycles] += 1.0;
+            counters[CounterId::IssuedCycles] += 1.0;
             // Issuing may finish warps; CTA retirement (which removes warps
             // and would invalidate the remaining pick indices) is deferred
             // until every pick of this cycle has issued.
             let mut retire: Vec<u64> = Vec::new();
             for &(_, idx) in &picks {
-                if let Some(cta) = self.issue(
-                    idx,
-                    now,
-                    period_ps,
-                    mem,
-                    lat,
-                    counters,
-                    &mut mem_lat_sum_ns,
-                    &mut mem_lat_count,
-                ) {
+                let at_barrier = self.issue(idx, now, clock.period_ps, mem, lat, counters, tally);
+                let warp = &self.warps[idx];
+                let (cta, live) = (warp.cta_id, warp.is_live());
+                if at_barrier {
+                    self.maybe_release_barrier(cta);
+                }
+                if !live {
                     retire.push(cta);
                 }
             }
             for cta in retire {
                 self.maybe_retire_cta(cta);
             }
-            if self.warps.iter().all(|w| !w.is_live())
-                && self.pending_ctas.is_empty()
-                && self.kernel.is_some()
-                && self.finish_time.is_none()
-            {
-                self.finish_time = Some(now + Time::from_ps(period_ps));
-            }
+            let live = self.warps.iter().any(Warp::is_live);
+            self.end_issue_cycle(live, now, clock.period_ps);
             c += 1;
-        }
-
-        counters[TotalCycles] += cycles as f64;
-        if cycles > 0 {
-            counters[Occupancy] = occupancy_sum as f64 / (cycles as f64 * self.max_warps as f64);
-        }
-        if mem_lat_count > 0 {
-            counters[AvgMemLatencyNs] = mem_lat_sum_ns / mem_lat_count as f64;
-        }
-        counters.recompute_derived();
-
-        EpochOutcome {
-            instructions: (counters[TotalInstrs] - start_instrs) as u64,
-            finished_at: self.finish_time,
-            skipped_cycles: skipped,
         }
     }
 
-    /// Issues the next instruction of warp `idx` at time `now`. Returns the
-    /// warp's CTA id if the warp just finished its program (the caller must
-    /// then retire the CTA once the cycle's issues are complete).
+    /// The event-driven loop (see the module docs).
+    fn run_events(
+        &mut self,
+        clock: Clock,
+        mem: &mut ClusterMemory,
+        lat: &LatencyTable,
+        counters: &mut EpochCounters,
+        tally: &mut Tally,
+    ) {
+        let mut sched = Sched::new(self.max_warps);
+        sched.rebuild(&self.warps, self.last_issued_age);
+        let mut picks: Vec<usize> = Vec::with_capacity(self.issue_width);
+        let mut retire: Vec<u64> = Vec::new();
+        let mut c = 0u64;
+        while c < clock.cycles {
+            let now = clock.at(c);
+            let resident = self.warps.len();
+            self.launch_ctas();
+            // Launched warps are ready, and none is ranked first as the
+            // last-issued warp: ages only grow (on a fresh SM, whose last
+            // issued age is the initial 0, that warp is also the oldest).
+            for slot in resident..self.warps.len() {
+                sched.set_ready(slot);
+                sched.census.live += 1;
+            }
+            while let Some(&Wake { until, slot }) = sched.wakes.peek() {
+                if until > now {
+                    break;
+                }
+                sched.wakes.pop();
+                let warp = &mut self.warps[slot];
+                let WarpState::Waiting { cause, .. } = warp.state else {
+                    unreachable!("only waiting warps are in the wake heap")
+                };
+                *sched.census.waiting(cause) -= 1;
+                warp.state = WarpState::Ready;
+                sched.set_ready(slot);
+            }
+            sched.pick(self.issue_width, &mut picks);
+
+            let census = sched.census;
+            tally.cycle(census, counters);
+            if picks.is_empty() {
+                // No warp, memory or scheduler state can change before the
+                // earliest wake-up, so the stall accounting of this cycle
+                // holds for every cycle up to it: the warp wakes on the
+                // first cycle whose start reaches its wake time.
+                let delta = match sched.wakes.peek() {
+                    Some(&Wake { until, .. }) => {
+                        let gap_ps = until.saturating_sub(now).as_ps();
+                        gap_ps.div_ceil(clock.period_ps).max(1).min(clock.cycles - c)
+                    }
+                    None => clock.cycles - c,
+                };
+                self.stall(census, now, delta, counters, tally);
+                c += delta;
+                continue;
+            }
+
+            counters[CounterId::IssuedCycles] += 1.0;
+            for &slot in &picks {
+                sched.clear_ready(slot);
+                let at_barrier = self.issue(slot, now, clock.period_ps, mem, lat, counters, tally);
+                sched.last = Some(slot);
+                if at_barrier {
+                    self.release_barrier_in(slot, &mut sched);
+                }
+                let warp = &self.warps[slot];
+                match warp.state {
+                    WarpState::Waiting { until, cause } => sched.wait(slot, until, cause),
+                    WarpState::Finished => {
+                        sched.census.live -= 1;
+                        retire.push(warp.cta_id);
+                    }
+                    WarpState::Ready | WarpState::AtBarrier => {}
+                }
+            }
+            if !retire.is_empty() {
+                let resident = self.warps.len();
+                for cta in retire.drain(..) {
+                    self.maybe_retire_cta(cta);
+                }
+                if self.warps.len() != resident {
+                    sched.rebuild(&self.warps, self.last_issued_age);
+                }
+            }
+            self.end_issue_cycle(sched.census.live > 0, now, clock.period_ps);
+            c += 1;
+        }
+    }
+
+    /// Charges `delta` cycles starting at `now`, in which nothing issues, to
+    /// the stall cause `census` implies; all but the first are skipped.
+    fn stall(
+        &mut self,
+        census: Census,
+        now: Time,
+        delta: u64,
+        counters: &mut EpochCounters,
+        tally: &mut Tally,
+    ) {
+        counters[census.stall_cause()] += delta as f64;
+        if census.live > 0 {
+            counters[CounterId::ActiveCycles] += (delta - 1) as f64;
+        }
+        tally.occupancy_sum += census.live as u128 * (delta - 1) as u128;
+        tally.skipped += delta - 1;
+        if census.live == 0
+            && self.pending_ctas.is_empty()
+            && self.finish_time.is_none()
+            && self.kernel.is_some()
+        {
+            self.finish_time = Some(now);
+        }
+    }
+
+    /// Records the finish time when the cycle starting at `now` issued the
+    /// last instruction of the kernel (`live` says whether any resident
+    /// warp is still running).
+    fn end_issue_cycle(&mut self, live: bool, now: Time, period_ps: u64) {
+        if !live
+            && self.pending_ctas.is_empty()
+            && self.kernel.is_some()
+            && self.finish_time.is_none()
+        {
+            self.finish_time = Some(now + Time::from_ps(period_ps));
+        }
+    }
+
+    /// Issues the next instruction of warp `idx` at time `now` and leaves
+    /// the warp waiting, parked at a barrier or finished. Returns `true`
+    /// when the instruction was a barrier, which the caller must follow
+    /// with a release check of the warp's CTA; a warp that finished on it
+    /// is not parked but may unblock its siblings. Retiring a finished
+    /// warp's CTA is also the caller's job, once the cycle's issues are
+    /// done.
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
@@ -366,9 +673,8 @@ impl SmCore {
         mem: &mut ClusterMemory,
         lat: &LatencyTable,
         counters: &mut EpochCounters,
-        mem_lat_sum_ns: &mut f64,
-        mem_lat_count: &mut u64,
-    ) -> Option<u64> {
+        tally: &mut Tally,
+    ) -> bool {
         use CounterId::*;
         let kernel = self.kernel.as_ref().expect("issue requires an assigned kernel");
         let warp = &mut self.warps[idx];
@@ -426,8 +732,8 @@ impl SmCore {
                         counters[DramQueueNs] += r.queue_ns;
                     }
                 }
-                *mem_lat_sum_ns += r.latency.as_nanos();
-                *mem_lat_count += 1;
+                tally.mem_lat_sum_ns += r.latency.as_nanos();
+                tally.mem_lat_count += 1;
                 Some((now + r.latency, WaitCause::MemLoad))
             }
             InstrClass::StoreGlobal => {
@@ -460,27 +766,13 @@ impl SmCore {
             InstrClass::Barrier => None,
         };
 
-        let live = warp.advance_cursor(kernel);
-        let cta_id = warp.cta_id;
-        if live {
+        if warp.advance_cursor(kernel) {
             match wait {
                 Some((until, cause)) => warp.wait(until, cause),
-                None => {
-                    warp.state = WarpState::AtBarrier;
-                    self.maybe_release_barrier(cta_id);
-                }
+                None => warp.state = WarpState::AtBarrier,
             }
-            None
-        } else {
-            // The warp finished; a trailing barrier is a no-op for it but may
-            // unblock its siblings. Retirement of the CTA is deferred to the
-            // caller, which must call `maybe_retire_cta` once the cycle's
-            // issues are done.
-            if wait.is_none() {
-                self.maybe_release_barrier(cta_id);
-            }
-            Some(cta_id)
         }
+        wait.is_none()
     }
 }
 
@@ -698,5 +990,12 @@ mod tests {
             MemoryBehavior::streaming(1024),
         );
         sm.assign_kernel(k, vec![0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "CTA ids must be distinct")]
+    fn duplicate_cta_ids_rejected() {
+        let mut sm = SmCore::new(16, 2);
+        sm.assign_kernel(compute_kernel(1), vec![0, 1, 0], 1);
     }
 }
