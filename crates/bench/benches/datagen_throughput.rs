@@ -1,6 +1,7 @@
-//! Data-generation throughput: sequential vs work-stealing parallel replay
-//! fan-out, and the cost of a cheap `SimSnapshot` vs a full `Simulation`
-//! clone (the per-breakpoint checkpoint the replays are restored from).
+//! Data-generation throughput: sequential vs parallel replay fan-out over
+//! the shared compute pool, and the cost of a cheap `SimSnapshot` vs a full
+//! `Simulation` clone (the per-breakpoint checkpoint the replays are
+//! restored from) and of restoring a replay from the snapshot.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::{GpuConfig, Simulation, Time};
@@ -55,6 +56,8 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.bench_function("full_clone", |b| {
         b.iter_batched(|| (), |()| black_box(sim.clone()), BatchSize::SmallInput);
     });
+    let snap = sim.snapshot();
+    group.bench_function("restore", |b| b.iter(|| black_box(snap.restore())));
     group.finish();
 }
 

@@ -2,8 +2,8 @@
 //! default event-driven engine, on epoch stepping and full runs of a
 //! memory-bound program (`lbm`, where whole-SM stalls make skipping pay)
 //! and a compute-bound one (`gemm`, where most cycles issue and the cost
-//! of scheduling each cycle dominates), plus snapshot/restore cost now
-//! that the immutable state is `Arc`-shared.
+//! of scheduling each cycle dominates). Snapshot and restore cost is timed
+//! by `datagen_throughput`'s `datagen/checkpoint` group.
 //!
 //! The companion binary `perf_baseline --sim` records the same comparison
 //! end-to-end (full runs, cycles/sec) as `BENCH_sim.json`.
@@ -70,22 +70,5 @@ fn bench_engine_full_run(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_snapshot_restore(c: &mut Criterion) {
-    let cfg = GpuConfig::small_test();
-    let ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
-    let mut sim = engine_sim(&cfg, "lbm", EngineMode::CycleSkip);
-    for _ in 0..20 {
-        if sim.is_complete() {
-            break;
-        }
-        sim.step_epoch(&ops);
-    }
-    let mut group = c.benchmark_group("sim_core/checkpoint");
-    group.bench_function("snapshot", |b| b.iter(|| std::hint::black_box(sim.snapshot())));
-    let snap = sim.snapshot();
-    group.bench_function("restore", |b| b.iter(|| std::hint::black_box(snap.restore())));
-    group.finish();
-}
-
-criterion_group!(benches, bench_engine_modes, bench_engine_full_run, bench_snapshot_restore);
+criterion_group!(benches, bench_engine_modes, bench_engine_full_run);
 criterion_main!(benches);

@@ -1,10 +1,9 @@
-//! Offline-pipeline cost: data-generation throughput (simulated µs per
-//! wall-clock second) and the cost of one training epoch.
+//! Offline-pipeline cost: one training epoch, serial and on the shard
+//! pool. Data-generation throughput is timed by `datagen_throughput`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{CounterId, EpochCounters, GpuConfig};
-use gpu_workloads::by_name;
-use ssmdvfs::{generate, DataGenConfig, DvfsDataset, FeatureSet, RawSample};
+use gpu_sim::{CounterId, EpochCounters};
+use ssmdvfs::{DvfsDataset, FeatureSet, RawSample};
 use tinynn::{
     train_classifier, train_classifier_parallel_with, ClassificationData, Mlp, Normalizer, Pool,
     TrainConfig, TrainScratch,
@@ -31,21 +30,6 @@ fn synthetic_dataset(n: usize) -> DvfsDataset {
         });
     }
     DvfsDataset { samples, ..DvfsDataset::default() }
-}
-
-fn bench_datagen(c: &mut Criterion) {
-    let cfg = GpuConfig::small_test();
-    let bench = by_name("lbm").expect("lbm exists").scaled(0.03);
-    let mut group = c.benchmark_group("pipeline/datagen");
-    group.sample_size(10);
-    group.bench_function("lbm_tiny", |b| {
-        b.iter(|| {
-            let data = generate(&bench, &cfg, &DataGenConfig::default());
-            assert!(!data.is_empty());
-            data.len()
-        });
-    });
-    group.finish();
 }
 
 fn bench_training_epoch(c: &mut Criterion) {
@@ -81,5 +65,5 @@ fn bench_training_epoch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_datagen, bench_training_epoch);
+criterion_group!(benches, bench_training_epoch);
 criterion_main!(benches);

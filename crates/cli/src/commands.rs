@@ -59,6 +59,29 @@ fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ParseArgsEr
     }
 }
 
+/// `--scale`: a finite, positive factor on every kernel's CTA count that
+/// keeps each scaled kernel of `benches` below 2^32 CTAs. Anything else is
+/// a typed error naming the option: `NaN` passes a `<= 0` test and runs
+/// one CTA per kernel, and a huge factor rounds to `usize::MAX` CTAs, whose
+/// ids the simulator would walk one by one.
+fn scale(args: &Args, benches: &[Benchmark]) -> Result<f64, ParseArgsError> {
+    let factor = args.get_f64("scale", 1.0)?;
+    let most_ctas = benches
+        .iter()
+        .flat_map(|b| b.workload().kernels())
+        .map(|k| k.num_ctas() as f64)
+        .fold(0.0, f64::max);
+    if factor.is_finite() && factor > 0.0 && (most_ctas * factor).round() < 2f64.powi(32) {
+        Ok(factor)
+    } else {
+        Err(ParseArgsError::invalid_value(
+            "scale",
+            args.get("scale").unwrap_or_default(),
+            "a positive, finite factor that keeps every kernel below 2^32 CTAs",
+        ))
+    }
+}
+
 /// An error attributed to a named pipeline stage, so the binary's
 /// `error: [stage] ...` line says which part of the pipeline failed.
 fn err_in(stage: &'static str, message: impl Into<String>) -> ParseArgsError {
@@ -156,11 +179,7 @@ fn benchmark(args: &Args) -> Result<Benchmark, ParseArgsError> {
     let name = args.require("benchmark")?;
     let bench = by_name(name)
         .ok_or_else(|| err(format!("unknown benchmark '{name}'; see 'ssmdvfs list-benchmarks'")))?;
-    let scale = args.get_f64("scale", 1.0)?;
-    if scale <= 0.0 {
-        return Err(err("--scale must be positive"));
-    }
-    Ok(bench.scaled(scale))
+    Ok(bench.scaled(scale(args, std::slice::from_ref(&bench))?))
 }
 
 fn load_model(path: &str) -> Result<CombinedModel, ParseArgsError> {
@@ -276,11 +295,7 @@ pub fn fleet(args: &Args) -> CmdResult {
     let name = args.get("benchmark").unwrap_or("sgemm");
     let bench = by_name(name)
         .ok_or_else(|| err(format!("unknown benchmark '{name}'; see 'ssmdvfs list-benchmarks'")))?;
-    let scale = args.get_f64("scale", 1.0)?;
-    if scale <= 0.0 {
-        return Err(err("--scale must be positive"));
-    }
-    let bench = bench.scaled(scale);
+    let bench = bench.scaled(scale(args, std::slice::from_ref(&bench))?);
 
     let deadline_us = micros(args, "deadline-us", 0.0)?;
     let serve = ServeConfig {
@@ -346,7 +361,6 @@ pub fn fleet(args: &Args) -> CmdResult {
 pub fn datagen(args: &Args) -> CmdResult {
     let cfg = gpu_config(args)?;
     let out_path = args.require("out")?;
-    let scale = args.get_f64("scale", 1.0)?;
     let benches: Vec<Benchmark> = match args.get("benchmarks") {
         None => gpu_workloads::training_set(),
         Some(spec) => spec
@@ -356,8 +370,9 @@ pub fn datagen(args: &Args) -> CmdResult {
             })
             .collect::<Result<_, _>>()?,
     };
+    let factor = scale(args, &benches)?;
     let dg = DataGenConfig::default();
-    let scaled: Vec<Benchmark> = benches.into_iter().map(|b| b.scaled(scale)).collect();
+    let scaled: Vec<Benchmark> = benches.into_iter().map(|b| b.scaled(factor)).collect();
 
     let mut options = SuiteOptions::new(args.get_usize("jobs", 0)?);
     // `--resume <journal>` reuses an interrupted run's completed jobs and
@@ -1006,7 +1021,7 @@ mod tests {
         assert!(fleet(&args).unwrap_err().to_string().contains("--gpus"));
         let args = Args::parse(["fleet", "--gpus", "1", "--benchmark", "nope"]).unwrap();
         assert!(fleet(&args).unwrap_err().to_string().contains("unknown benchmark"));
-        for (command, option, value) in [
+        let mut cases = vec![
             ("fleet", "deadline-us", "inf"),
             ("fleet", "deadline-us", "1e300"),
             ("fleet", "deadline-us", "-5"),
@@ -1018,12 +1033,24 @@ mod tests {
             ("fleet", "max-batch", "0"),
             ("fleet", "queue-depth", "0"),
             ("simulate", "horizon-us", "-1"),
-        ] {
+        ];
+        for command in ["fleet", "simulate", "datagen"] {
+            for value in ["NaN", "inf", "1e300", "0", "-1"] {
+                cases.push((command, "scale", value));
+            }
+        }
+        let out = std::env::temp_dir().join("ssmdvfs_cli_rejected_scale.json");
+        let _ = fs::remove_file(&out);
+        for (command, option, value) in cases {
             let option_flag = format!("--{option}");
             let args = Args::parse([
                 command,
                 "--benchmark",
                 "lbm",
+                "--benchmarks",
+                "lbm",
+                "--out",
+                out.to_str().unwrap(),
                 "--gpus",
                 "1",
                 "--clusters",
@@ -1034,9 +1061,15 @@ mod tests {
                 value,
             ])
             .unwrap();
-            let e = if command == "fleet" { fleet(&args) } else { simulate(&args) }.unwrap_err();
+            let run = match command {
+                "fleet" => fleet,
+                "simulate" => simulate,
+                _ => datagen,
+            };
+            let e = run(&args).unwrap_err();
             assert_eq!(e.kind(), crate::args::ErrorKind::InvalidValue, "{option} {value}: {e}");
             assert!(e.to_string().contains(&option_flag), "{e}");
+            assert!(!out.exists(), "{command} wrote its output before rejecting {option} {value}");
         }
     }
 

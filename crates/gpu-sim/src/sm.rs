@@ -8,21 +8,29 @@
 //! stall cause — the raw material of the paper's execution-stall counters.
 //!
 //! The default engine is event-driven. Ready warps live in a bitset over
-//! warp slots and waiting warps in a min-heap keyed by wake time, and the
-//! live and per-cause waiting counts are updated as warps launch, issue,
-//! wake, pass a barrier and retire. A cycle therefore costs
-//! O(issues + wakes) instead of a scan of every resident warp, and a cycle
-//! in which nothing can issue jumps straight to the next wake-up. Slots are
-//! always in age order (CTAs are appended with increasing ages and retired
-//! with an order-preserving `retain`), so greedy-then-oldest is "the
-//! last-issued warp if it is ready, then the lowest ready slots". This
-//! scheduling state is derived, not persisted: it is rebuilt from the warps
-//! when an epoch starts and after a CTA retires (retirement shifts slot
-//! indices), so neither an [`SmCore`] nor its snapshots carry it.
-//! [`EngineMode::NaiveTick`] keeps the per-cycle scan of every warp as the
-//! reference the equivalence tests compare against.
+//! warp slots, and the live and per-cause waiting counts are updated as
+//! warps launch, issue, wake, pass a barrier and retire. Waiting warps live
+//! in a wake wheel indexed by the epoch's cycle number: a warp wakes on the
+//! first cycle whose start reaches its wake time, pipeline and L1 waits are
+//! whole core cycles, and only L2 and DRAM latencies (on the memory clock)
+//! need a division to find that cycle. Each of the wheel's [`WHEEL`]
+//! buckets is a bitset of the warps that wake on one cycle, an occupancy
+//! bitmap with a summary word finds the next non-empty bucket in O(1), a
+//! small heap holds the rare waits beyond the wheel's horizon, and a wait
+//! that ends after the epoch's last cycle gets no entry at all. A cycle
+//! therefore costs O(issues + wakes) instead of a scan of every resident
+//! warp, and a cycle in which nothing can issue jumps straight to the next
+//! wake-up. Slots are always in age order (CTAs are appended with
+//! increasing ages and retired with an order-preserving `retain`), so
+//! greedy-then-oldest is "the last-issued warp if it is ready, then the
+//! lowest ready slots". This scheduling state is derived, not persisted:
+//! it is rebuilt from the warps when an epoch starts and after a CTA
+//! retires (retirement shifts slot indices), so neither an [`SmCore`] nor
+//! its snapshots carry it. [`EngineMode::NaiveTick`] keeps the per-cycle
+//! scan of every warp as the reference the equivalence tests compare
+//! against.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -47,10 +55,10 @@ pub enum EngineMode {
     /// sleepers, count stall causes and rank issue candidates, and tick one
     /// cycle at a time. It exists to check the default engine against.
     NaiveTick,
-    /// The event-driven engine every run uses: a ready set and a wake heap
-    /// replace the scan, and when nothing can issue the loop jumps straight
-    /// to the earliest wake-up (or the end of the epoch when the SM is
-    /// empty).
+    /// The event-driven engine every run uses: a ready set and a wake wheel
+    /// indexed by cycle replace the scan, and when nothing can issue the
+    /// loop jumps straight to the earliest wake-up (or the end of the epoch
+    /// when no warp wakes before it).
     #[default]
     CycleSkip,
 }
@@ -93,6 +101,35 @@ impl Clock {
     /// Start time of cycle `c`.
     fn at(self, c: u64) -> Time {
         self.start + Time::from_ps(c * self.period_ps)
+    }
+
+    /// The first cycle whose start reaches `t` (0 for a time before the
+    /// epoch).
+    fn cycle_of(self, t: Time) -> u64 {
+        t.saturating_sub(self.start).as_ps().div_ceil(self.period_ps)
+    }
+}
+
+/// How long an issued instruction keeps its warp from issuing again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// A pipeline, shared-memory, global-store or L1-hit wait of whole
+    /// core cycles.
+    Cycles(u32),
+    /// An L2 or DRAM access of this latency on the memory clock.
+    Memory(Time),
+}
+
+impl Hold {
+    /// Cycles of period `period_ps` from the issuing cycle to the one the
+    /// warp wakes on. A zero wait still ends on the next cycle, because a
+    /// cycle's wake-ups are taken before it issues.
+    fn cycles(self, period_ps: u64) -> u64 {
+        match self {
+            Hold::Cycles(n) => u64::from(n),
+            Hold::Memory(latency) => latency.as_ps().div_ceil(period_ps),
+        }
+        .max(1)
     }
 }
 
@@ -137,6 +174,15 @@ impl Census {
         }
     }
 
+    /// Marks the waiting `warp` ready and stops counting it as waiting.
+    fn wake(&mut self, warp: &mut Warp) {
+        let WarpState::Waiting { cause, .. } = warp.state else {
+            unreachable!("only waiting warps are scheduled to wake")
+        };
+        *self.waiting(cause) -= 1;
+        warp.state = WarpState::Ready;
+    }
+
     /// The counter a cycle in which nothing issues is charged to.
     fn stall_cause(&self) -> CounterId {
         if self.live == 0 {
@@ -158,42 +204,38 @@ impl Census {
     }
 }
 
-/// A waiting warp in the wake heap. It is ordered by wake time alone,
-/// earliest first: warps due at the same time all wake in the same cycle,
-/// so their relative order does not matter.
-#[derive(Debug, Clone, Copy)]
-struct Wake {
-    until: Time,
-    slot: usize,
-}
-
-impl PartialEq for Wake {
-    fn eq(&self, other: &Wake) -> bool {
-        self.until == other.until
-    }
-}
-
-impl Eq for Wake {}
-
-impl PartialOrd for Wake {
-    fn partial_cmp(&self, other: &Wake) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Wake {
-    fn cmp(&self, other: &Wake) -> Ordering {
-        other.until.cmp(&self.until)
-    }
-}
+/// Buckets in the wake wheel: waits of up to this many cycles are bucketed
+/// by cycle and longer ones go to the overflow heap. Almost every wait is a
+/// few dozen cycles; the longest are DRAM accesses queued behind a busy
+/// channel.
+const WHEEL: usize = 1024;
+/// Occupancy words of the wheel, one bit per bucket; the summary word has
+/// one bit per occupancy word.
+const OCC_WORDS: usize = WHEEL / 64;
+const _: () = assert!(WHEEL.is_power_of_two() && OCC_WORDS <= 64);
 
 /// The event-driven engine's scheduling state, derived from the warps.
+///
+/// A waiting warp that wakes on cycle `w` of the epoch sits in bucket
+/// `w % WHEEL` if `w` is less than [`WHEEL`] cycles after the first cycle
+/// still to run when it was scheduled, in the overflow heap if it is later
+/// than that, and nowhere if `w` is past the epoch's last cycle (the next
+/// epoch's rebuild schedules it). Buckets drain on their cycle, so the
+/// wheel only ever holds wake-ups of the next [`WHEEL`] cycles and no two
+/// of them share a bucket.
 #[derive(Debug)]
 struct Sched {
     /// Bit `i` is set when `warps[i]` is ready.
     ready: Vec<u64>,
-    /// Waiting warps, earliest wake-up on top.
-    wakes: BinaryHeap<Wake>,
+    /// `ready.len()` words per bucket: bucket `b` is
+    /// `buckets[b * words..(b + 1) * words]`, a bitset of waking slots.
+    buckets: Vec<u64>,
+    /// Bit `b` is set when bucket `b` is non-empty.
+    occupied: [u64; OCC_WORDS],
+    /// Bit `i` is set when `occupied[i]` is non-zero.
+    summary: u64,
+    /// `(wake cycle, slot)` of waits beyond the wheel, earliest on top.
+    overflow: BinaryHeap<Reverse<(u64, usize)>>,
     census: Census,
     /// Slot of the last-issued warp while it is resident.
     last: Option<usize>,
@@ -201,24 +243,43 @@ struct Sched {
 
 impl Sched {
     fn new(max_warps: usize) -> Sched {
+        let words = max_warps.div_ceil(64);
         Sched {
-            ready: vec![0; max_warps.div_ceil(64)],
-            wakes: BinaryHeap::with_capacity(max_warps),
+            ready: vec![0; words],
+            buckets: vec![0; WHEEL * words],
+            occupied: [0; OCC_WORDS],
+            summary: 0,
+            overflow: BinaryHeap::new(),
             census: Census::default(),
             last: None,
         }
     }
 
-    /// Rebuilds the state from `warps`, whose slot indices may have moved.
-    fn rebuild(&mut self, warps: &[Warp], last_issued_age: u64) {
+    /// Rebuilds the state from `warps`, whose slot indices may have moved,
+    /// when `from` is the first cycle of `clock` still to run.
+    fn rebuild(&mut self, warps: &[Warp], last_issued_age: u64, clock: Clock, from: u64) {
         debug_assert!(warps.windows(2).all(|w| w[0].age < w[1].age), "slots are in age order");
         self.ready.fill(0);
-        self.wakes.clear();
+        let words = self.ready.len();
+        for (i, &occ) in self.occupied.iter().enumerate() {
+            let mut bits = occ;
+            while bits != 0 {
+                let b = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.buckets[b * words..(b + 1) * words].fill(0);
+            }
+        }
+        self.occupied = [0; OCC_WORDS];
+        self.summary = 0;
+        self.overflow.clear();
         self.census = Census::default();
         for (i, w) in warps.iter().enumerate() {
             match w.state {
                 WarpState::Ready => self.set_ready(i),
-                WarpState::Waiting { until, cause } => self.wait(i, until, cause),
+                WarpState::Waiting { until, cause } => {
+                    let wake = clock.cycle_of(until).max(from);
+                    self.wait(i, wake, cause, from, clock.cycles);
+                }
                 WarpState::AtBarrier => {}
                 WarpState::Finished => continue,
             }
@@ -239,9 +300,77 @@ impl Sched {
         self.ready[slot / 64] & (1 << (slot % 64)) != 0
     }
 
-    fn wait(&mut self, slot: usize, until: Time, cause: WaitCause) {
-        self.wakes.push(Wake { until, slot });
+    /// Counts warp `slot` as waiting on `cause` and schedules it to wake
+    /// on cycle `wake` of an epoch of `cycles` cycles, where `from <= wake`
+    /// is the first cycle still to run.
+    fn wait(&mut self, slot: usize, wake: u64, cause: WaitCause, from: u64, cycles: u64) {
+        debug_assert!(wake >= from, "a warp cannot wake in a cycle that has run");
         *self.census.waiting(cause) += 1;
+        if wake >= cycles {
+            return;
+        }
+        if wake - from >= WHEEL as u64 {
+            self.overflow.push(Reverse((wake, slot)));
+            return;
+        }
+        let b = wake as usize % WHEEL;
+        self.buckets[b * self.ready.len() + slot / 64] |= 1 << (slot % 64);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.summary |= 1 << (b / 64);
+    }
+
+    /// Wakes every warp scheduled for cycle `c`: marks it ready in `warps`
+    /// and here, and takes it out of the waiting counts.
+    fn wake_due(&mut self, c: u64, warps: &mut [Warp]) {
+        let b = c as usize % WHEEL;
+        let (word, bit) = (b / 64, 1 << (b % 64));
+        if self.occupied[word] & bit != 0 {
+            self.occupied[word] &= !bit;
+            if self.occupied[word] == 0 {
+                self.summary &= !(1 << word);
+            }
+            let words = self.ready.len();
+            for w in 0..words {
+                let mut bits = std::mem::take(&mut self.buckets[b * words + w]);
+                self.ready[w] |= bits;
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.census.wake(&mut warps[slot]);
+                }
+            }
+        }
+        while let Some(&Reverse((wake, slot))) = self.overflow.peek() {
+            if wake > c {
+                break;
+            }
+            self.overflow.pop();
+            self.set_ready(slot);
+            self.census.wake(&mut warps[slot]);
+        }
+    }
+
+    /// The earliest cycle after `c` on which a scheduled warp wakes, once
+    /// cycle `c`'s wake-ups have been taken.
+    fn next_wake(&self, c: u64) -> Option<u64> {
+        let later = self.overflow.peek().map(|&Reverse((wake, _))| wake);
+        if self.summary == 0 {
+            return later;
+        }
+        // The wheel holds cycles c + 1 ..= c + WHEEL; search its buckets
+        // in that order, from bucket (c + 1) % WHEEL round to c % WHEEL.
+        let start = (c + 1) as usize % WHEEL;
+        let word = start / 64;
+        let rest = self.occupied[word] & (!0 << (start % 64));
+        let b = if rest != 0 {
+            word * 64 + rest.trailing_zeros() as usize
+        } else {
+            let after = self.summary & (!1 << word);
+            let w = if after != 0 { after } else { self.summary }.trailing_zeros() as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        let wheel = c + 1 + (b.wrapping_sub(start) % WHEEL) as u64;
+        Some(later.map_or(wheel, |l| l.min(wheel)))
     }
 
     /// Fills `picks` with up to `width` ready slots in greedy-then-oldest
@@ -509,7 +638,8 @@ impl SmCore {
             // until every pick of this cycle has issued.
             let mut retire: Vec<u64> = Vec::new();
             for &(_, idx) in &picks {
-                let at_barrier = self.issue(idx, now, clock.period_ps, mem, lat, counters, tally);
+                let at_barrier =
+                    self.issue(idx, now, clock.period_ps, mem, lat, counters, tally).is_none();
                 let warp = &self.warps[idx];
                 let (cta, live) = (warp.cta_id, warp.is_live());
                 if at_barrier {
@@ -538,7 +668,7 @@ impl SmCore {
         tally: &mut Tally,
     ) {
         let mut sched = Sched::new(self.max_warps);
-        sched.rebuild(&self.warps, self.last_issued_age);
+        sched.rebuild(&self.warps, self.last_issued_age, clock, 0);
         let mut picks: Vec<usize> = Vec::with_capacity(self.issue_width);
         let mut retire: Vec<u64> = Vec::new();
         let mut c = 0u64;
@@ -553,19 +683,7 @@ impl SmCore {
                 sched.set_ready(slot);
                 sched.census.live += 1;
             }
-            while let Some(&Wake { until, slot }) = sched.wakes.peek() {
-                if until > now {
-                    break;
-                }
-                sched.wakes.pop();
-                let warp = &mut self.warps[slot];
-                let WarpState::Waiting { cause, .. } = warp.state else {
-                    unreachable!("only waiting warps are in the wake heap")
-                };
-                *sched.census.waiting(cause) -= 1;
-                warp.state = WarpState::Ready;
-                sched.set_ready(slot);
-            }
+            sched.wake_due(c, &mut self.warps);
             sched.pick(self.issue_width, &mut picks);
 
             let census = sched.census;
@@ -573,15 +691,8 @@ impl SmCore {
             if picks.is_empty() {
                 // No warp, memory or scheduler state can change before the
                 // earliest wake-up, so the stall accounting of this cycle
-                // holds for every cycle up to it: the warp wakes on the
-                // first cycle whose start reaches its wake time.
-                let delta = match sched.wakes.peek() {
-                    Some(&Wake { until, .. }) => {
-                        let gap_ps = until.saturating_sub(now).as_ps();
-                        gap_ps.div_ceil(clock.period_ps).max(1).min(clock.cycles - c)
-                    }
-                    None => clock.cycles - c,
-                };
+                // holds for every cycle up to it.
+                let delta = sched.next_wake(c).unwrap_or(clock.cycles) - c;
                 self.stall(census, now, delta, counters, tally);
                 c += delta;
                 continue;
@@ -590,19 +701,22 @@ impl SmCore {
             counters[CounterId::IssuedCycles] += 1.0;
             for &slot in &picks {
                 sched.clear_ready(slot);
-                let at_barrier = self.issue(slot, now, clock.period_ps, mem, lat, counters, tally);
+                let hold = self.issue(slot, now, clock.period_ps, mem, lat, counters, tally);
                 sched.last = Some(slot);
-                if at_barrier {
+                if hold.is_none() {
                     self.release_barrier_in(slot, &mut sched);
                 }
                 let warp = &self.warps[slot];
-                match warp.state {
-                    WarpState::Waiting { until, cause } => sched.wait(slot, until, cause),
-                    WarpState::Finished => {
+                match (warp.state, hold) {
+                    (WarpState::Waiting { cause, .. }, Some(hold)) => {
+                        let wake = c + hold.cycles(clock.period_ps);
+                        sched.wait(slot, wake, cause, c + 1, clock.cycles);
+                    }
+                    (WarpState::Finished, _) => {
                         sched.census.live -= 1;
                         retire.push(warp.cta_id);
                     }
-                    WarpState::Ready | WarpState::AtBarrier => {}
+                    _ => {}
                 }
             }
             if !retire.is_empty() {
@@ -611,7 +725,7 @@ impl SmCore {
                     self.maybe_retire_cta(cta);
                 }
                 if self.warps.len() != resident {
-                    sched.rebuild(&self.warps, self.last_issued_age);
+                    sched.rebuild(&self.warps, self.last_issued_age, clock, c + 1);
                 }
             }
             self.end_issue_cycle(sched.census.live > 0, now, clock.period_ps);
@@ -658,12 +772,12 @@ impl SmCore {
     }
 
     /// Issues the next instruction of warp `idx` at time `now` and leaves
-    /// the warp waiting, parked at a barrier or finished. Returns `true`
-    /// when the instruction was a barrier, which the caller must follow
-    /// with a release check of the warp's CTA; a warp that finished on it
-    /// is not parked but may unblock its siblings. Retiring a finished
-    /// warp's CTA is also the caller's job, once the cycle's issues are
-    /// done.
+    /// the warp waiting, parked at a barrier or finished. Returns the wait
+    /// the instruction imposes, or `None` when it was a barrier, which the
+    /// caller must follow with a release check of the warp's CTA; a warp
+    /// that finished on it is not parked but may unblock its siblings.
+    /// Retiring a finished warp's CTA is also the caller's job, once the
+    /// cycle's issues are done.
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
@@ -674,7 +788,7 @@ impl SmCore {
         lat: &LatencyTable,
         counters: &mut EpochCounters,
         tally: &mut Tally,
-    ) -> bool {
+    ) -> Option<Hold> {
         use CounterId::*;
         let kernel = self.kernel.as_ref().expect("issue requires an assigned kernel");
         let warp = &mut self.warps[idx];
@@ -700,29 +814,29 @@ impl SmCore {
 
         // Determine the wait the instruction imposes; `None` means the warp
         // parks at a barrier instead.
-        let cycles_at = |n: u32| Time::from_ps(n as u64 * period_ps);
-        let wait: Option<(Time, WaitCause)> = match class {
+        let wait: Option<(Hold, WaitCause)> = match class {
             InstrClass::IntAlu | InstrClass::FpAlu | InstrClass::Sfu => {
-                Some((now + cycles_at(lat.fixed_latency(class)), WaitCause::Exec))
+                Some((Hold::Cycles(lat.fixed_latency(class)), WaitCause::Exec))
             }
             InstrClass::LoadShared => {
                 counters[SharedAccesses] += 1.0;
-                Some((now + cycles_at(lat.load_shared), WaitCause::MemLoad))
+                Some((Hold::Cycles(lat.load_shared), WaitCause::MemLoad))
             }
             InstrClass::StoreShared => {
                 counters[SharedAccesses] += 1.0;
-                Some((now + cycles_at(lat.store_shared), WaitCause::MemStore))
+                Some((Hold::Cycles(lat.store_shared), WaitCause::MemStore))
             }
             InstrClass::LoadGlobal => {
                 let addr = warp.next_address(&mem_behavior);
                 let r = mem.load(addr, now, period_ps);
                 counters[L1ReadAccess] += 1.0;
                 counters[MemTransactions] += 1.0;
-                match r.level {
-                    MemLevel::L1 => {}
+                let hold = match r.level {
+                    MemLevel::L1 => Hold::Cycles(mem.config().l1_hit_cycles),
                     MemLevel::L2 => {
                         counters[L1ReadMiss] += 1.0;
                         counters[L2Access] += 1.0;
+                        Hold::Memory(r.latency)
                     }
                     MemLevel::Dram => {
                         counters[L1ReadMiss] += 1.0;
@@ -730,11 +844,12 @@ impl SmCore {
                         counters[L2Miss] += 1.0;
                         counters[DramReads] += 1.0;
                         counters[DramQueueNs] += r.queue_ns;
+                        Hold::Memory(r.latency)
                     }
-                }
+                };
                 tally.mem_lat_sum_ns += r.latency.as_nanos();
                 tally.mem_lat_count += 1;
-                Some((now + r.latency, WaitCause::MemLoad))
+                Some((hold, WaitCause::MemLoad))
             }
             InstrClass::StoreGlobal => {
                 let addr = warp.next_address(&mem_behavior);
@@ -751,7 +866,7 @@ impl SmCore {
                         counters[DramWrites] += 1.0;
                     }
                 }
-                Some((now + cycles_at(lat.store_global), WaitCause::MemStore))
+                Some((Hold::Cycles(lat.store_global), WaitCause::MemStore))
             }
             InstrClass::Branch => {
                 let diverged = warp.draw_divergence(div_prob);
@@ -761,18 +876,21 @@ impl SmCore {
                 } else {
                     lat.branch
                 };
-                Some((now + cycles_at(penalty), WaitCause::Control))
+                Some((Hold::Cycles(penalty), WaitCause::Control))
             }
             InstrClass::Barrier => None,
         };
 
         if warp.advance_cursor(kernel) {
             match wait {
-                Some((until, cause)) => warp.wait(until, cause),
+                Some((Hold::Cycles(n), cause)) => {
+                    warp.wait(now + Time::from_ps(u64::from(n) * period_ps), cause)
+                }
+                Some((Hold::Memory(latency), cause)) => warp.wait(now + latency, cause),
                 None => warp.state = WarpState::AtBarrier,
             }
         }
-        wait.is_none()
+        wait.map(|(hold, _)| hold)
     }
 }
 

@@ -10,11 +10,14 @@
 //! of several kernels, warp pools above 64 slots (a ready set of more than
 //! one word), issue widths of 1–4, one or two SMs per cluster, epochs
 //! short enough to split a program, and a different operating point per
-//! cluster and epoch.
+//! cluster and epoch. Every pipeline latency and the L1 hit time are drawn
+//! from 0–40 cycles, and the L2, DRAM and DRAM-occupancy times from zero
+//! to a few microseconds, so the wake wheel sees zero-cycle waits, waits
+//! past its horizon and past the epoch's end, and wrap-around.
 
 use gpu_sim::{
-    BasicBlock, EngineMode, GpuConfig, InstrClass, KernelSpec, MemoryBehavior, Simulation, Time,
-    Workload,
+    BasicBlock, EngineMode, GpuConfig, InstrClass, KernelSpec, LatencyTable, MemoryBehavior,
+    MemoryConfig, Simulation, Time, Workload,
 };
 use proptest::prelude::*;
 
@@ -24,6 +27,12 @@ const SLOTS: [usize; 10] = [2, 4, 8, 16, 24, 48, 64, 65, 96, 130];
 /// DVFS epoch lengths in µs: short epochs put epoch boundaries, operating
 /// point switches and their settle time inside the small random programs.
 const EPOCH_US: [f64; 4] = [0.5, 1.0, 2.5, 10.0];
+/// Pipeline and L1 latencies in cycles range over `0..=MAX_CYCLES`.
+const MAX_CYCLES: u32 = 40;
+/// Upper ends of the L2, DRAM and DRAM-occupancy time draws in ns: zero,
+/// a few cycles, the Titan X's hundreds of ns, and up to 3 µs, past the
+/// wake wheel's 1024 cycles at every operating point.
+const MEMORY_NS: [f64; 4] = [0.0, 10.0, 500.0, 3_000.0];
 
 /// One random scenario.
 #[derive(Debug, Clone)]
@@ -60,9 +69,20 @@ impl Scenario {
                 format!("{} CTAs x {} warps: {blocks:?}", k.num_ctas(), k.warps_per_cta())
             })
             .collect();
+        let m = &c.memory;
         format!(
-            "{} clusters x {} SMs, {} slots, issue width {}; kernels {kernels:?}; schedule {:?}",
-            c.num_clusters, c.sms_per_cluster, c.max_warps_per_sm, c.issue_width, self.schedule
+            "{} clusters x {} SMs, {} slots, issue width {}; latencies {:?}; L1 {} cycles, L2 {} \
+             ns, DRAM {} ns, DRAM occupancy {} ns; kernels {kernels:?}; schedule {:?}",
+            c.num_clusters,
+            c.sms_per_cluster,
+            c.max_warps_per_sm,
+            c.issue_width,
+            c.latencies,
+            m.l1_hit_cycles,
+            m.l2_hit_ns,
+            m.dram_ns,
+            m.dram_tx_ns,
+            self.schedule
         )
     }
 }
@@ -74,6 +94,38 @@ struct Scenarios {
 
 fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
     items[rng.below(items.len() as u64) as usize]
+}
+
+fn cycles(rng: &mut TestRng) -> u32 {
+    (0..=MAX_CYCLES).sample(rng)
+}
+
+/// A memory time in ns, zero with probability about a quarter.
+fn memory_ns(rng: &mut TestRng) -> f64 {
+    pick(rng, &MEMORY_NS) * (0.0..=1.0).sample(rng)
+}
+
+fn arb_latencies(rng: &mut TestRng) -> LatencyTable {
+    LatencyTable {
+        int_alu: cycles(rng),
+        fp_alu: cycles(rng),
+        sfu: cycles(rng),
+        load_shared: cycles(rng),
+        store_shared: cycles(rng),
+        store_global: cycles(rng),
+        branch: cycles(rng),
+        divergence_penalty: cycles(rng),
+    }
+}
+
+fn arb_memory(rng: &mut TestRng) -> MemoryConfig {
+    MemoryConfig {
+        l1_hit_cycles: cycles(rng),
+        l2_hit_ns: memory_ns(rng),
+        dram_ns: memory_ns(rng),
+        dram_tx_ns: memory_ns(rng),
+        ..MemoryConfig::titan_x()
+    }
 }
 
 /// A kernel of one to three blocks over all nine instruction classes,
@@ -111,6 +163,8 @@ impl Strategy for Scenarios {
             max_warps_per_sm: pick(rng, &SLOTS),
             issue_width: (1usize..=4).sample(rng),
             epoch: Time::from_micros(pick(rng, &EPOCH_US)),
+            latencies: arb_latencies(rng),
+            memory: arb_memory(rng),
             ..GpuConfig::small_test()
         };
         let kernels: Vec<KernelSpec> =

@@ -16,6 +16,12 @@
 //! and must be declared as a behaviour change. To regenerate the table after
 //! such a change, run `cargo test --test sim_golden`; the failure message
 //! prints the computed table in source form.
+//!
+//! The default engine must also account for exactly the stall cycles of
+//! the second table in bulk ([`Simulation::skipped_cycles`]): that count is
+//! not observable in the records, but it is the work the engine saves over
+//! ticking every cycle, and it stays fixed while the engine's data
+//! structures change.
 
 use gpu_sim::{
     DvfsGovernor, EngineMode, EpochRecord, GpuConfig, ScheduleGovernor, SimResult, Simulation,
@@ -58,6 +64,25 @@ const GOLDEN: [(&str, u64); 14] = [
     ("bicg", 0x4da5a83ddbf8f13d),
 ];
 
+/// Per-program stall cycles the default engine skips, summed over both
+/// seeds and both governors.
+const GOLDEN_SKIPPED: [(&str, u64); 14] = [
+    ("sgemm", 6165011),
+    ("hotspot", 5030762),
+    ("atax", 21655592),
+    ("lbm", 14524816),
+    ("bfs", 9574732),
+    ("kmeans", 6913556),
+    ("lud", 4912699),
+    ("histo", 6572618),
+    ("mriq", 1350542),
+    ("spmv", 9573767),
+    ("3mm", 7886087),
+    ("gemm", 3453110),
+    ("mvt", 21655592),
+    ("bicg", 21655592),
+];
+
 /// 64-bit FNV-1a.
 struct Fnv(u64);
 
@@ -95,9 +120,11 @@ fn changing_schedule() -> ScheduleGovernor {
     ScheduleGovernor::new((0..SCHEDULE_EPOCHS).map(|e| PATTERN[e % PATTERN.len()]).collect())
 }
 
-/// Digest of `bench` over both seeds and both governors under `mode`.
-fn digest(bench: &Benchmark, mode: EngineMode) -> u64 {
+/// Digest of `bench` over both seeds and both governors under `mode`, and
+/// the stall cycles skipped in those runs.
+fn digest(bench: &Benchmark, mode: EngineMode) -> (u64, u64) {
     let mut h = Fnv::new();
+    let mut skipped = 0;
     for seed in SEEDS {
         let config = GpuConfig::titan_x().with_seed(seed);
         let governors: [Box<dyn DvfsGovernor>; 2] = [
@@ -114,13 +141,33 @@ fn digest(bench: &Benchmark, mode: EngineMode) -> u64 {
                 h.record(record);
             }
             h.result(&result);
+            skipped += sim.skipped_cycles();
         }
     }
-    h.0
+    (h.0, skipped)
+}
+
+/// The programs whose `computed` value differs from `golden`, and the
+/// computed table in source form with each value written by `literal`.
+fn mismatches(
+    golden: &[(&str, u64)],
+    computed: &[(&str, u64)],
+    literal: fn(u64) -> String,
+) -> (Vec<String>, String) {
+    let mismatched = computed
+        .iter()
+        .filter(|(name, v)| golden.iter().find(|(g, _)| g == name).map(|(_, g)| g) != Some(v))
+        .map(|(name, _)| name.to_string())
+        .collect();
+    let table =
+        computed.iter().map(|(name, v)| format!("    ({name:?}, {}),\n", literal(*v))).collect();
+    (mismatched, table)
 }
 
 /// Computes the digest of every program in `names` under `mode` and
-/// compares them with [`GOLDEN`], reporting every mismatch at once.
+/// compares them with [`GOLDEN`], reporting every mismatch at once; under
+/// the default engine, also compares the skipped cycles with
+/// [`GOLDEN_SKIPPED`].
 fn check(mode: EngineMode, names: &[&str]) {
     let programs: Vec<Benchmark> = evaluation_set()
         .into_iter()
@@ -128,18 +175,22 @@ fn check(mode: EngineMode, names: &[&str]) {
         .map(|b| b.scaled(SCALE))
         .collect();
     assert_eq!(programs.len(), names.len(), "every named program is an evaluation program");
-    let computed: Vec<(&str, u64)> = programs.iter().map(|b| (b.name(), digest(b, mode))).collect();
-    let mismatched: Vec<&str> = computed
-        .iter()
-        .filter(|(name, d)| GOLDEN.iter().find(|(g, _)| g == name).map(|(_, g)| g) != Some(d))
-        .map(|(name, _)| *name)
-        .collect();
-    let table: String =
-        computed.iter().map(|(name, d)| format!("    ({name:?}, {d:#018x}),\n")).collect();
+    let runs: Vec<(&str, (u64, u64))> =
+        programs.iter().map(|b| (b.name(), digest(b, mode))).collect();
+    let digests: Vec<(&str, u64)> = runs.iter().map(|&(name, (d, _))| (name, d)).collect();
+    let (mismatched, table) = mismatches(&GOLDEN, &digests, |d| format!("{d:#018x}"));
     assert!(
         mismatched.is_empty(),
         "{mode:?} digests differ from the golden table for {mismatched:?}; computed:\n{table}"
     );
+    if mode == EngineMode::default() {
+        let skipped: Vec<(&str, u64)> = runs.iter().map(|&(name, (_, s))| (name, s)).collect();
+        let (mismatched, table) = mismatches(&GOLDEN_SKIPPED, &skipped, |s| s.to_string());
+        assert!(
+            mismatched.is_empty(),
+            "skipped cycles differ from the golden table for {mismatched:?}; computed:\n{table}"
+        );
+    }
 }
 
 #[test]
