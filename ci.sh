@@ -48,25 +48,6 @@ print(f"train baseline: {b['epochs_per_sec']:.0f} epochs/s serial, "
       f"{b['rfe_parallel_secs']:.2f}s at {b['rfe_jobs']} workers")
 EOF
 
-echo "==> sim engine perf baseline (smoke, JSON well-formed, skip >= 1.5x)"
-cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --sim
-python3 - <<'EOF'
-import json
-b = json.load(open("target/ssmdvfs-artifacts/BENCH_sim.json"))
-for key in ("naive_cycles_per_sec", "skip_cycles_per_sec", "speedup",
-            "total_cycles", "snapshot_cost_us", "cache_cold_secs",
-            "cache_warm_secs"):
-    assert b[key] > 0, (key, b)
-assert b["smoke"] is True, b
-assert b["speedup"] >= 1.5, f"cycle-skip must be >=1.5x over naive tick: {b}"
-assert b["cache_warm_hits"] > 0, b
-print(f"sim baseline: {b['naive_cycles_per_sec']:.3g} -> "
-      f"{b['skip_cycles_per_sec']:.3g} cycles/s ({b['speedup']:.2f}x, "
-      f"{b['skipped_fraction']*100:.1f}% skipped); replay cache "
-      f"{b['cache_cold_secs']:.2f}s cold -> {b['cache_warm_secs']:.2f}s warm "
-      f"({b['cache_warm_hits']} hits)")
-EOF
-
 echo "==> decide perf baseline (smoke, plan beats reference oracle, decisions identical)"
 cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --decide
 python3 - <<'EOF'
@@ -233,6 +214,13 @@ tmp = sys.argv[1]
 j1 = json.load(open(os.path.join(tmp, "train-j1-metrics.json")))
 j4 = json.load(open(os.path.join(tmp, "train-j4-metrics.json")))
 for m, jobs in ((j1, 1), (j4, 4)):
+    # 6 epochs x 2 heads; the default patience (25) never stops 6 epochs
+    # early, so a second count of the same epochs would read 24.
+    assert m["counters"]["train.epochs"] == 12, (jobs, m["counters"])
+    # Each layer has one metric prefix: tinynn counts under train.*.
+    stray = [k for kind in ("counters", "gauges", "histograms")
+             for k in m[kind] if k.startswith("tinynn.")]
+    assert not stray, (jobs, stray)
     assert m["counters"]["train.grad_shards"] > 0, (jobs, m["counters"])
     assert "train.parallel_batches" in m["counters"], (jobs, sorted(m["counters"]))
     assert any(h.startswith("train.batch_latency_us") for h in m["histograms"]), \
@@ -241,7 +229,8 @@ assert j1["counters"]["train.parallel_batches"] == 0, j1["counters"]
 assert j4["counters"]["train.parallel_batches"] > 0, j4["counters"]
 assert j1["counters"]["train.grad_shards"] == j4["counters"]["train.grad_shards"], \
     (j1["counters"], j4["counters"])
-print(f"train metrics: {j4['counters']['train.grad_shards']} grad shards "
+print(f"train metrics: 12 epochs at 1 and 4 jobs, "
+      f"{j4['counters']['train.grad_shards']} grad shards "
       f"(same at 1 and 4 jobs), {j4['counters']['train.parallel_batches']} "
       f"parallel batches at 4 jobs, latency histogram present")
 EOF
@@ -306,11 +295,15 @@ wait "$LIVE_PID"
 cmp "$OBS_TMP/live.json" "$OBS_TMP/cache-cold.json"
 echo "live-scraped dataset identical to unobserved run"
 
-echo "==> phase profiler smoke (collapsed stacks + inspect --profile)"
+echo "==> phase profiler smoke (collapsed stacks + inspect --profile, trace joins profile)"
+# One scope feeds both exports: in a run with both enabled, the Chrome
+# trace's complete-event names must be exactly the profile's leaf phases,
+# and each event's category the first dot segment of its name.
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/prof.json" \
   --benchmarks sgemm --scale 0.05 --clusters 2 --jobs 2 --log-level warn \
   --profile-out "$OBS_TMP/profile.json" \
-  --profile-collapsed "$OBS_TMP/profile.folded"
+  --profile-collapsed "$OBS_TMP/profile.folded" \
+  --trace-out "$OBS_TMP/prof-trace.json"
 "$SSMDVFS_BIN" inspect --profile "$OBS_TMP/profile.json" \
   | tee "$OBS_TMP/profile.log"
 grep -q "datagen" "$OBS_TMP/profile.log"
@@ -318,6 +311,19 @@ grep -q "datagen.replay" "$OBS_TMP/profile.folded"
 # At least one nested path (datagen.suite -> replay on the calling
 # thread, which runs tasks too) proves stacks collapse.
 grep -q ";" "$OBS_TMP/profile.folded"
+python3 - "$OBS_TMP" <<'EOF'
+import json, sys, os
+tmp = sys.argv[1]
+profile = json.load(open(os.path.join(tmp, "profile.json")))
+trace = json.load(open(os.path.join(tmp, "prof-trace.json")))
+leaves = {path.split(";")[-1] for path in profile["phases"]}
+events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+names = {e["name"] for e in events}
+assert names == leaves, (sorted(names), sorted(leaves))
+bad = [e for e in events if e["cat"] != e["name"].split(".")[0]]
+assert not bad, bad[:3]
+print(f"trace/profile join: {len(events)} events, phases {sorted(names)}")
+EOF
 
 echo "==> SLO gate (passes on the current trajectory)"
 "$SSMDVFS_BIN" slo-check --baseline docs/perf \

@@ -5,8 +5,10 @@
 //! of scheduling each cycle dominates). Snapshot and restore cost is timed
 //! by `datagen_throughput`'s `datagen/checkpoint` group.
 //!
-//! The companion binary `perf_baseline --sim` records the same comparison
-//! end-to-end (full runs, cycles/sec) as `BENCH_sim.json`.
+//! This bench is the repo's record of simulated cycles per second. The
+//! cycle-skip gain is pinned as a work count, not a wall-clock ratio: the
+//! default engine's skipped cycles per evaluation program
+//! (`GOLDEN_SKIPPED` in `tests/sim_golden.rs`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::{EngineMode, GpuConfig, Simulation, StaticGovernor, Time};

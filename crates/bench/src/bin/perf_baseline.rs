@@ -1,6 +1,6 @@
 //! Perf-regression baselines for the offline pipeline.
 //!
-//! Four sections, selected by flag:
+//! Three sections, selected by flag:
 //!
 //! * default (or `--datagen`): sequential vs parallel
 //!   `generate_workload_jobs` throughput and the per-breakpoint checkpoint
@@ -10,10 +10,6 @@
 //!   decision head, serial vs the 4-job sharded-gradient engine with a
 //!   byte-identity check) and RFE wall-clock at 1 vs 8 workers, written to
 //!   `BENCH_train.json`.
-//! * `--sim`: simulation-engine throughput — naive-tick vs cycle-skip
-//!   cycles/sec on a memory-bound workload (byte-identical results, checked
-//!   here too), `Arc`-shared snapshot cost, and replay-cache cold vs warm
-//!   datagen wall-clock — written to `BENCH_sim.json`.
 //! * `--decide`: single-decision latency — ns/inference for the INT8
 //!   kernel on the compressed decision head, ns/decision for the allocating
 //!   model-method oracle vs the compiled `DecisionPlan` (exact, INT8 and
@@ -28,16 +24,15 @@
 
 use std::time::Instant;
 
-use gpu_sim::{CounterId, EngineMode, EpochCounters, GpuConfig, Simulation, StaticGovernor, Time};
+use gpu_sim::{CounterId, EpochCounters, GpuConfig, Simulation, Time};
 use gpu_workloads::by_name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use ssmdvfs::exec::effective_jobs;
 use ssmdvfs::{
-    generate_suite_with, generate_workload_jobs, select_features_with, CombinedModel,
-    DataGenConfig, DecisionPlan, DvfsDataset, RawSample, ReplayCache, RfeOptions, SsmdvfsConfig,
-    SuiteOptions,
+    generate_workload_jobs, select_features_with, CombinedModel, DataGenConfig, DecisionPlan,
+    DvfsDataset, RawSample, RfeOptions, SsmdvfsConfig,
 };
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
@@ -90,144 +85,6 @@ struct TrainBaseline {
     rfe_serial_secs: f64,
     rfe_parallel_secs: f64,
     rfe_speedup: f64,
-}
-
-#[derive(Serialize)]
-struct SimBaseline {
-    smoke: bool,
-    workers: usize,
-    /// Simulated core cycles per full run (identical in both modes — the
-    /// engines are byte-equivalent, asserted below).
-    total_cycles: f64,
-    naive_secs: f64,
-    skip_secs: f64,
-    naive_cycles_per_sec: f64,
-    skip_cycles_per_sec: f64,
-    speedup: f64,
-    /// Cycles the skip engine jumped over instead of ticking.
-    skipped_cycles: u64,
-    skipped_fraction: f64,
-    snapshot_cost_us: f64,
-    /// Datagen sweep wall-clock with an empty vs fully-populated replay
-    /// cache (same process, same worker count).
-    cache_cold_secs: f64,
-    cache_warm_secs: f64,
-    cache_speedup: f64,
-    cache_warm_hits: u64,
-}
-
-/// Runs `bench` to completion under `mode`, `reps` times; returns the
-/// mean wall-clock, simulated cycles per run, skipped cycles per run and
-/// the serialized `SimResult` of the last run (for the equivalence check).
-fn time_engine(
-    cfg: &GpuConfig,
-    bench: &gpu_workloads::Benchmark,
-    mode: EngineMode,
-    reps: usize,
-) -> (f64, f64, u64, String) {
-    let mut cycles = 0.0;
-    let mut skipped = 0;
-    let mut result_json = String::new();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let mut sim = Simulation::new(cfg.clone(), bench.workload().clone());
-        sim.set_engine(mode);
-        let mut governor = StaticGovernor::new(cfg.vf_table.default_index());
-        let result = sim.run(&mut governor, Time::from_micros(50_000.0));
-        assert!(result.completed, "baseline workload must complete");
-        cycles = sim
-            .records()
-            .iter()
-            .flat_map(|r| r.clusters.iter())
-            .map(|c| c.counters[CounterId::TotalCycles])
-            .sum();
-        skipped = sim.skipped_cycles();
-        result_json = serde_json::to_string(&result).expect("result serializes");
-    }
-    (t0.elapsed().as_secs_f64() / reps as f64, cycles, skipped, result_json)
-}
-
-fn run_sim(smoke: bool) {
-    let cfg = GpuConfig::small_test();
-    let (scale, reps, checkpoint_iters) = if smoke { (0.05, 1, 50) } else { (0.4, 3, 500) };
-    let bench = by_name("lbm").expect("lbm exists").scaled(scale);
-    let workers = effective_jobs(0);
-    eprintln!("[perf_baseline] sim engine on '{}' (smoke={smoke})", bench.name());
-
-    let (naive_secs, naive_cycles, _, naive_json) =
-        time_engine(&cfg, &bench, EngineMode::NaiveTick, reps);
-    let (skip_secs, skip_cycles, skipped_cycles, skip_json) =
-        time_engine(&cfg, &bench, EngineMode::CycleSkip, reps);
-    assert_eq!(naive_json, skip_json, "engines must produce byte-identical SimResults");
-    assert!((naive_cycles - skip_cycles).abs() < 0.5, "engines must simulate the same cycles");
-
-    let ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
-    let mut sim = Simulation::new(cfg.clone(), bench.workload().clone());
-    for _ in 0..300 {
-        if sim.is_complete() {
-            break;
-        }
-        sim.step_epoch(&ops);
-    }
-    let (snapshot_cost_us, _) = time_checkpoints(&sim, checkpoint_iters);
-
-    eprintln!("[perf_baseline] replay cache cold vs warm datagen sweep");
-    let dg = DataGenConfig {
-        breakpoint_interval_epochs: 5,
-        max_time: Time::from_micros(if smoke { 300.0 } else { 2_000.0 }),
-        ..DataGenConfig::default()
-    };
-    let cache = std::sync::Arc::new(ReplayCache::in_memory());
-    let mut options = SuiteOptions::new(0);
-    options.cache = Some(cache.clone());
-    let benches = [bench.clone()];
-    let t0 = Instant::now();
-    let cold = generate_suite_with(&benches, &cfg, &dg, &options).expect("cold sweep runs");
-    let cache_cold_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let warm = generate_suite_with(&benches, &cfg, &dg, &options).expect("warm sweep runs");
-    let cache_warm_secs = t0.elapsed().as_secs_f64();
-    let cache_warm_hits = cache.hits();
-    assert!(cache_warm_hits > 0, "warm sweep must hit the cache");
-    assert_eq!(
-        serde_json::to_string(&cold.datasets).expect("serializes"),
-        serde_json::to_string(&warm.datasets).expect("serializes"),
-        "cache hits must reproduce the cold sweep byte-for-byte"
-    );
-
-    let baseline = SimBaseline {
-        smoke,
-        workers,
-        total_cycles: skip_cycles,
-        naive_secs,
-        skip_secs,
-        naive_cycles_per_sec: naive_cycles / naive_secs,
-        skip_cycles_per_sec: skip_cycles / skip_secs,
-        speedup: naive_secs / skip_secs,
-        skipped_cycles,
-        skipped_fraction: skipped_cycles as f64 / skip_cycles.max(1.0),
-        snapshot_cost_us,
-        cache_cold_secs,
-        cache_warm_secs,
-        cache_speedup: cache_cold_secs / cache_warm_secs,
-        cache_warm_hits,
-    };
-    let path = artifacts_dir().join("BENCH_sim.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    std::fs::write(&path, &json).expect("baseline must be writable");
-    println!("{json}");
-    println!(
-        "[perf_baseline] {:.3e} cycles/s naive -> {:.3e} cycles/s skip ({:.2}x, {:.1}% skipped); snapshot {:.1} us; cache {:.2}s cold -> {:.2}s warm ({} hits) -> {}",
-        baseline.naive_cycles_per_sec,
-        baseline.skip_cycles_per_sec,
-        baseline.speedup,
-        baseline.skipped_fraction * 100.0,
-        baseline.snapshot_cost_us,
-        baseline.cache_cold_secs,
-        baseline.cache_warm_secs,
-        baseline.cache_warm_hits,
-        path.display()
-    );
 }
 
 fn time_generate(
@@ -711,17 +568,13 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke")
         || std::env::var_os("SSMDVFS_SMOKE").is_some_and(|v| v != "0");
     let train = args.iter().any(|a| a == "--train");
-    let sim = args.iter().any(|a| a == "--sim");
     let decide = args.iter().any(|a| a == "--decide");
-    let datagen = args.iter().any(|a| a == "--datagen") || (!train && !sim && !decide);
+    let datagen = args.iter().any(|a| a == "--datagen") || (!train && !decide);
     if datagen {
         run_datagen(smoke);
     }
     if train {
         run_train(smoke);
-    }
-    if sim {
-        run_sim(smoke);
     }
     if decide {
         run_decide(smoke);

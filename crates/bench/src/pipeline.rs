@@ -73,8 +73,7 @@ fn refresh_requested() -> bool {
 /// Panics if data generation produces no samples or the cache is
 /// unreadable/unwritable.
 pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset {
-    let _span = obs::span!("bench", "build_or_load_dataset:{tag}");
-    let _prof = obs::prof::scope("bench.dataset");
+    let _scope = obs::scope!("bench.dataset", "{tag}");
     let path = artifacts_dir().join(format!("dataset_{tag}.json"));
     if !refresh_requested() {
         if let Ok(data) = DvfsDataset::load(&path) {
@@ -158,8 +157,7 @@ pub fn train_or_load_model(
     config: &PipelineConfig,
     tag: &str,
 ) -> (CombinedModel, TrainSummary) {
-    let _span = obs::span!("bench", "train_or_load_model:{tag}");
-    let _prof = obs::prof::scope("bench.model");
+    let _scope = obs::scope!("bench.model", "{tag}");
     let dir = artifacts_dir();
     let model_path = dir.join(format!("model_{tag}.json"));
     let summary_path = dir.join(format!("summary_{tag}.json"));

@@ -70,8 +70,7 @@ fn run_one(
     preset: f64,
     horizon: Time,
 ) -> SimResult {
-    let _span = obs::span!("bench", "run_one:{}@{}", bench.name(), kind.label());
-    let _prof = obs::prof::scope("bench.run_one");
+    let _scope = obs::scope!("bench.run_one", "{}@{}", bench.name(), kind.label());
     obs::counter!("bench.runs").inc(1);
     let workload = bench.workload().clone();
     match kind {
@@ -132,8 +131,7 @@ pub fn try_compare_on_benchmark(
     preset: f64,
     horizon: Time,
 ) -> Result<Vec<ComparisonRow>, PowerError> {
-    let _span = obs::span!("bench", "compare:{}", bench.name());
-    let _prof = obs::prof::scope("bench.compare");
+    let _scope = obs::scope!("bench.compare", "{}", bench.name());
     let baseline = run_one(cfg, bench, &GovernorKind::Baseline, preset, horizon);
     let base_report = baseline.edp_report();
     governors

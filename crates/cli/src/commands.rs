@@ -59,6 +59,22 @@ fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ParseArgsEr
     }
 }
 
+/// `--preset`: the tolerated slowdown fraction, finite and at least 0.
+/// Anything else is a typed error naming the option: `NaN` or a negative
+/// preset would run at the top V/f point and `inf` at the bottom one.
+fn preset(args: &Args) -> Result<f64, ParseArgsError> {
+    let preset = args.get_f64("preset", 0.10)?;
+    if preset.is_finite() && preset >= 0.0 {
+        Ok(preset)
+    } else {
+        Err(ParseArgsError::invalid_value(
+            "preset",
+            args.get("preset").unwrap_or_default(),
+            "a finite, non-negative slowdown fraction",
+        ))
+    }
+}
+
 /// `--scale`: a finite, positive factor on every kernel's CTA count that
 /// keeps each scaled kernel of `benches` below 2^32 CTAs. Anything else is
 /// a typed error naming the option: `NaN` passes a `<= 0` test and runs
@@ -212,11 +228,11 @@ pub fn list_benchmarks() -> CmdResult {
 pub fn simulate(args: &Args) -> CmdResult {
     let cfg = gpu_config(args)?;
     let bench = benchmark(args)?;
-    let preset = args.get_f64("preset", 0.10)?;
+    let preset = preset(args)?;
     let horizon = Time::from_micros(micros(args, "horizon-us", 20_000.0)?);
     let governor_name = args.get("governor").unwrap_or("static");
     let audit_out = args.get("audit-out");
-    let audit_cap = args.get_usize("audit-cap", 4096)?;
+    let audit_cap = positive(args, "audit-cap", 4096)?;
 
     let mut sim = Simulation::new(cfg.clone(), bench.workload().clone());
     let result: SimResult = if governor_name == "oracle" {
@@ -255,7 +271,7 @@ pub fn simulate(args: &Args) -> CmdResult {
             }
         };
         if audit_out.is_some() {
-            governor.enable_audit(audit_cap.max(1));
+            governor.enable_audit(audit_cap);
         }
         let result = sim.run(governor.as_mut(), horizon);
         if let Some(path) = audit_out {
@@ -290,7 +306,7 @@ pub fn fleet(args: &Args) -> CmdResult {
     let cfg = gpu_config(args)?;
     let gpus = positive(args, "gpus", 4)?;
     let jobs = ssmdvfs::exec::effective_jobs(args.get_usize("jobs", 0)?);
-    let preset = args.get_f64("preset", 0.10)?;
+    let preset = preset(args)?;
     let horizon = Time::from_micros(micros(args, "horizon-us", 2_000.0)?);
     let name = args.get("benchmark").unwrap_or("sgemm");
     let bench = by_name(name)
@@ -539,11 +555,15 @@ pub fn eval_cmd(args: &Args) -> CmdResult {
 
 /// `asic`.
 pub fn asic(args: &Args) -> CmdResult {
-    let model = load_model(args.require("model")?)?;
     let freq = args.get_f64("freq-mhz", 1165.0)?;
-    if freq <= 0.0 {
-        return Err(err("--freq-mhz must be positive"));
+    if !(freq.is_finite() && freq > 0.0) {
+        return Err(ParseArgsError::invalid_value(
+            "freq-mhz",
+            args.get("freq-mhz").unwrap_or_default(),
+            "a positive, finite frequency in MHz",
+        ));
     }
+    let model = load_model(args.require("model")?)?;
     let r = estimate_asic(&model, &AsicConfig::tsmc65(), freq, 10.0);
     Ok(format!(
         "cycles/inference: {}\nlatency: {:.3} µs ({:.2}% of a 10 µs epoch)\narea: {:.4} mm² @65nm, {:.4} mm² @28nm\npower: {:.4} W, energy/inference: {:.3e} J\n",
@@ -705,7 +725,7 @@ fn render_window(addr: &str, report: &obs::series::WindowReport) -> String {
         ("sim cycles skipped/s", report.rate("sim.skipped_cycles")),
         ("datagen replays/s", report.rate("datagen.replays")),
         ("datagen samples/s", report.rate("datagen.samples")),
-        ("train epochs/s", report.rate("tinynn.train.epochs")),
+        ("train epochs/s", report.rate("train.epochs")),
     ];
     for (label, rate) in derived {
         let _ = writeln!(out, "  {label:<22}: {rate:>12.1}");
@@ -732,7 +752,7 @@ fn render_window(addr: &str, report: &obs::series::WindowReport) -> String {
                         | "sim.skipped_cycles"
                         | "datagen.replays"
                         | "datagen.samples"
-                        | "tinynn.train.epochs"
+                        | "train.epochs"
                         | "sim.cache_hits"
                         | "sim.cache_misses"
                         | "exec.quarantine_dropped"
@@ -754,8 +774,8 @@ pub fn watch(args: &Args) -> CmdResult {
     let [addr] = args.positional() else {
         return Err(err("watch expects exactly one <addr>, e.g. 'watch 127.0.0.1:9184'"));
     };
-    let window = args.get_usize("window", 20)?.max(1);
-    let count = args.get_usize("count", 1)?.max(1);
+    let window = positive(args, "window", 20)?;
+    let count = positive(args, "count", 1)?;
     let interval_ms = args.get_usize("interval-ms", 1000)?;
     let mut out = String::new();
     for i in 0..count {
@@ -1033,11 +1053,20 @@ mod tests {
             ("fleet", "max-batch", "0"),
             ("fleet", "queue-depth", "0"),
             ("simulate", "horizon-us", "-1"),
+            ("simulate", "audit-cap", "0"),
         ];
         for command in ["fleet", "simulate", "datagen"] {
             for value in ["NaN", "inf", "1e300", "0", "-1"] {
                 cases.push((command, "scale", value));
             }
+        }
+        for command in ["fleet", "simulate"] {
+            for value in ["NaN", "-1", "inf", "-inf"] {
+                cases.push((command, "preset", value));
+            }
+        }
+        for value in ["NaN", "inf", "0", "-1"] {
+            cases.push(("asic", "freq-mhz", value));
         }
         let out = std::env::temp_dir().join("ssmdvfs_cli_rejected_scale.json");
         let _ = fs::remove_file(&out);
@@ -1064,6 +1093,7 @@ mod tests {
             let run = match command {
                 "fleet" => fleet,
                 "simulate" => simulate,
+                "asic" => asic,
                 _ => datagen,
             };
             let e = run(&args).unwrap_err();
@@ -1199,7 +1229,7 @@ mod tests {
         let model = CombinedModel::load(&model_path).unwrap();
         assert_eq!(model.feature_set.len(), 39, "38 indirect + PPC");
         let snapshot = fs::read_to_string(&metrics_path).unwrap();
-        for name in ["rfe.rounds", "rfe.parallel_tasks", "tinynn.train.epochs"] {
+        for name in ["rfe.rounds", "rfe.parallel_tasks", "train.epochs"] {
             assert!(snapshot.contains(name), "metrics snapshot must expose {name}: {snapshot}");
         }
 
@@ -1525,6 +1555,13 @@ mod telemetry_tests {
         // Reserved port on localhost that nothing listens on.
         let args = Args::parse(["watch", "127.0.0.1:1"]).unwrap();
         assert!(watch(&args).unwrap_err().to_string().contains("cannot reach"));
+        // A zero window or poll count is rejected before any connection.
+        for option in ["--window", "--count"] {
+            let args = Args::parse(["watch", "127.0.0.1:1", option, "0"]).unwrap();
+            let e = watch(&args).unwrap_err();
+            assert_eq!(e.kind(), crate::args::ErrorKind::InvalidValue, "{option}: {e}");
+            assert!(e.to_string().contains(option), "{e}");
+        }
     }
 
     #[test]
@@ -1633,8 +1670,8 @@ mod telemetry_tests {
         obs::prof::set_profiling(true);
         obs::prof::reset();
         {
-            let _outer = obs::prof::scope("cli.test.outer");
-            let _inner = obs::prof::scope("cli.test.inner");
+            let _outer = obs::scope!("cli.test.outer");
+            let _inner = obs::scope!("cli.test.inner");
         }
         let snapshot = obs::prof::snapshot();
         obs::prof::set_profiling(false);

@@ -395,8 +395,7 @@ fn collect_replay_specs(
     cfg: &GpuConfig,
     dg: &DataGenConfig,
 ) -> Vec<ReplaySpec> {
-    let _span = obs::span!("datagen", "reference:{}", workload.name());
-    let _prof = obs::prof::scope("datagen.reference");
+    let _scope = obs::scope!("datagen.reference", "{}", workload.name());
     let default_ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
     let interval = dg.breakpoint_interval_epochs;
     let max_epochs = (dg.max_time.as_ps() / cfg.epoch.as_ps()) as usize;
@@ -461,8 +460,7 @@ fn run_replay(
     spec: &ReplaySpec,
     op_index: usize,
 ) -> Vec<RawSample> {
-    let _span = obs::span!("datagen", "replay:{}#{}@op{}", name, spec.breakpoint, op_index);
-    let _prof = obs::prof::scope("datagen.replay");
+    let _scope = obs::scope!("datagen.replay", "{}#{}@op{}", name, spec.breakpoint, op_index);
     let default_ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
     let interval = dg.breakpoint_interval_epochs;
     let budget = interval + (interval as f64 * dg.replay_slack).ceil() as usize;
@@ -560,8 +558,7 @@ pub fn generate_workload_jobs(
     dg: &DataGenConfig,
     jobs: usize,
 ) -> DvfsDataset {
-    let _span = obs::span!("datagen", "datagen:{name}");
-    let _prof = obs::prof::scope("datagen");
+    let _scope = obs::scope!("datagen", "{name}");
     let specs = collect_replay_specs(workload, cfg, dg);
     let num_ops = cfg.vf_table.len();
     let job_list: Vec<(usize, usize)> =
@@ -660,8 +657,7 @@ pub fn generate_suite_with(
     dg: &DataGenConfig,
     options: &SuiteOptions,
 ) -> Result<SuiteOutcome, SsmdvfsError> {
-    let _span = obs::span!("datagen", "datagen-suite:{} benchmarks", benchmarks.len());
-    let _prof = obs::prof::scope("datagen.suite");
+    let _scope = obs::scope!("datagen.suite", "{} benchmarks", benchmarks.len());
     let jobs = options.jobs;
     // Phase 1: per-benchmark reference timelines (independent of each other).
     let specs_per_bench: Vec<Vec<ReplaySpec>> =

@@ -169,7 +169,7 @@ pub fn select_features_with(
         if active.len() <= keep_indirect {
             break;
         }
-        let _span = obs::span!("rfe", "rfe.round#{round}");
+        let _scope = obs::scope!("rfe.round", "#{round}");
         obs::counter!("rfe.rounds").inc(1);
         // Retrain on the active subset (+ the preset column, which always
         // rides along as the last input).

@@ -75,7 +75,7 @@ impl PreparedSplits {
     ) -> PreparedSplits {
         assert!(num_ops >= 2, "need at least two operating points");
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let _prof = obs::prof::scope("train.prepare");
+        let _scope = obs::scope!("train.prepare", "{} samples", dataset.len());
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
         let dec_data = dataset.decision_data(features, num_ops);
         let dec_norm = Normalizer::fit(&dec_data.x);
@@ -120,8 +120,7 @@ pub fn train_prepared(
     pool: &Pool,
     scratch: &mut TrainScratch,
 ) -> (CombinedModel, TrainSummary) {
-    let _span = obs::span!("train", "train_combined:{} samples", prep.samples);
-    let _prof = obs::prof::scope("train.combined");
+    let _scope = obs::scope!("train.combined", "{} samples", prep.samples);
     // Weight init draws from its own decorrelated stream (the split
     // shuffles already consumed the `seed ^ 0x5A5A` stream in `prepare`).
     let mut rng = StdRng::seed_from_u64(splitmix64(config.seed ^ 0x5A5A));
@@ -176,11 +175,6 @@ pub fn train_prepared(
     };
     obs::gauge!("train.decision_accuracy").set(summary.decision_accuracy);
     obs::gauge!("train.calibrator_mape").set(summary.calibrator_mape);
-    // Pipeline-level epoch counter (both heads), distinct from the
-    // per-loop tinynn.train.epochs: this is the number a live scrape of a
-    // training run rates as "train epochs/s".
-    obs::counter!("train.epochs")
-        .inc((dec_report.train_loss.len() + cal_report.train_loss.len()) as u64);
     (model, summary)
 }
 

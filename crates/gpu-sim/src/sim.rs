@@ -514,8 +514,7 @@ impl Simulation {
     /// runs at the default operating point (there are no counters to decide
     /// from yet), matching the paper's inference loop.
     pub fn run(&mut self, governor: &mut dyn DvfsGovernor, max_time: Time) -> SimResult {
-        let _span = obs::span!("sim", "sim.run:{}@{}", self.workload.name(), governor.name());
-        let _prof = obs::prof::scope("sim.run");
+        let _scope = obs::scope!("sim.run", "{}@{}", self.workload.name(), governor.name());
         governor.reset();
         let config = Arc::clone(&self.config);
         let table = &config.vf_table;

@@ -55,8 +55,7 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "sim.epochs",
     "sim.runs",
     "sim.skipped_cycles",
-    "tinynn.train.early_stops",
-    "tinynn.train.epochs",
+    "train.early_stops",
     "train.epochs",
     "workloads.benchmarks_built",
 ];

@@ -8,10 +8,10 @@
 //! 1. **Metrics** ([`metrics`]) — a lock-cheap registry of named counters,
 //!    gauges and log-scale histograms with a deterministic serde-JSON
 //!    snapshot format (see `docs/observability.md`).
-//! 2. **Tracing** ([`trace`]) — span-based tracing into per-thread ring
-//!    buffers with a global drain, exported as Chrome `trace_event` JSON
-//!    loadable in `chrome://tracing` or Perfetto, so datagen fan-out,
-//!    training epochs and per-breakpoint replays render as a timeline.
+//! 2. **Scopes** ([`scope!`]) — one RAII guard per `layer.stage` phase
+//!    that feeds both the Chrome trace ([`trace`], loadable in Perfetto)
+//!    and the phase profile ([`prof`]), so datagen fan-out, training and
+//!    replays render as a timeline and add up to a profile.
 //! 3. **Audit** ([`audit`]) — a bounded ring of per-epoch DVFS decision
 //!    records (features, logits, presets, calibrator predicted-vs-actual)
 //!    emitted by the governors and dumpable as JSONL.
@@ -26,7 +26,7 @@
 //! * [`series`] — a bounded time series sampling registry deltas on a
 //!   fixed interval, so scrapes and `ssmdvfs watch` can show rates
 //!   (epochs/s, cache hit ratio) rather than lifetime totals.
-//! * [`prof`] — a scoped phase profiler aggregating wall time by call
+//! * [`prof`] — the phase profile: scope wall time aggregated by call
 //!   path, exported as a per-phase table and collapsed-stack
 //!   (flamegraph-compatible) text.
 //! * [`slo`] — declarative SLO rules (`ssmdvfs slo-check`) evaluated
@@ -37,23 +37,27 @@
 //! Everything is off by default. Call sites guard on the global
 //! [`enabled`] flag — a single relaxed atomic load — before any
 //! formatting, allocation or clock read, so instrumentation compiles to
-//! near-nothing in an untraced run. The [`span!`], [`counter!`],
-//! [`gauge!`] and [`histogram!`] macros build that guard (and a cached
-//! registry lookup) into the call site.
+//! near-nothing in an untraced run. The [`counter!`], [`gauge!`] and
+//! [`histogram!`] macros build that guard (and a cached registry lookup)
+//! into the call site; [`scope!`] checks [`enabled`] and
+//! [`prof::profiling`] and does nothing else while both are off.
 //!
 //! # Examples
 //!
 //! ```
 //! obs::set_enabled(true);
+//! obs::prof::set_profiling(true);
 //! {
-//!     let _span = obs::span!("demo", "fib(20)");
+//!     let _scope = obs::scope!("demo.fib", "fib({})", 20);
 //!     obs::counter!("demo.calls").inc(1);
 //! }
 //! let snapshot = obs::metrics::global().snapshot();
 //! assert_eq!(snapshot.counters.get("demo.calls"), Some(&1));
+//! assert_eq!(obs::prof::snapshot().phases["demo.fib"].calls, 1);
 //! let json = obs::trace::chrome_trace_json();
-//! assert!(json.contains("\"traceEvents\""));
+//! assert!(json.contains("\"demo.fib\""));
 //! # obs::set_enabled(false);
+//! # obs::prof::set_profiling(false);
 //! ```
 
 #![warn(missing_docs)]
@@ -64,6 +68,7 @@ pub mod log;
 pub mod metrics;
 pub mod prof;
 pub mod ring;
+pub mod scope;
 pub mod series;
 pub mod slo;
 pub mod trace;
@@ -76,7 +81,7 @@ pub use ring::Ring;
 /// The global observability switch, off by default.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns metric recording and span tracing on or off globally.
+/// Turns metric recording and scope tracing on or off globally.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -88,9 +93,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Serializes this crate's unit tests that flip the global [`enabled`]
-/// flag or drain the global trace buffers, so no test turns recording off
-/// or steals events while another is recording.
+/// Serializes this crate's unit tests that flip the global [`enabled`] or
+/// [`prof::profiling`] flags, drain the global trace buffers or reset the
+/// profile table, so no test turns recording off or steals events while
+/// another is recording.
 #[cfg(test)]
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -98,20 +104,19 @@ fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Opens a [`trace::Span`] without paying for name formatting when
-/// observability is disabled.
+/// Opens a [`scope::Scope`] for a static `layer.stage` phase, optionally
+/// with a `format!`-style detail: `obs::scope!("datagen.replay")` or
+/// `obs::scope!("datagen.replay", "{name}#{bp}")`.
 ///
-/// The first argument is the category (a `&'static str`), the rest is a
-/// `format!` string for the span name — evaluated only when [`enabled`]
-/// returns `true`.
+/// The detail is formatted only while tracing ([`enabled`]) is on; see
+/// [`mod@scope`] for what the guard records when it drops.
 #[macro_export]
-macro_rules! span {
-    ($cat:expr, $($fmt:tt)+) => {
-        if $crate::enabled() {
-            $crate::trace::span(format!($($fmt)+), $cat)
-        } else {
-            $crate::trace::Span::disabled()
-        }
+macro_rules! scope {
+    ($phase:expr) => {
+        $crate::scope::Scope::open($phase, ::std::string::String::new)
+    };
+    ($phase:expr, $($fmt:tt)+) => {
+        $crate::scope::Scope::open($phase, || ::std::format!($($fmt)+))
     };
 }
 

@@ -1,12 +1,12 @@
-//! A scoped phase profiler: wall-time aggregated by call path.
+//! The phase profile: wall time aggregated by call path.
 //!
-//! Tracing ([`crate::trace`]) answers "when did each span run"; the
-//! profiler answers "where did the time go" without retaining one event
-//! per occurrence. [`scope`] opens an RAII frame named after a phase
-//! (`"datagen.replay"`, `"train.epoch"`, …); frames nest per thread into a
-//! call path, and dropping a frame folds its wall time into a global
-//! path-keyed table — total time, self time (total minus enclosed
-//! children), call count, min/max. The table exports as:
+//! Tracing ([`crate::trace`]) answers "when did each scope run"; the
+//! profile answers "where did the time go" without retaining one event
+//! per occurrence. Every [`crate::scope!`] that opens while profiling is on
+//! folds its wall time into a global table keyed by the thread's call path
+//! of open profiled scopes (`datagen.suite;datagen.replay`): total time,
+//! self time (total minus enclosed children), call count, min/max. The
+//! table exports as:
 //!
 //! * [`ProfileSnapshot`] — deterministic-ordered JSON (`--profile-out`),
 //!   summarized by `ssmdvfs inspect --profile`;
@@ -15,15 +15,12 @@
 //! * [`table`] — a human-readable per-phase table.
 //!
 //! Profiling is gated on its own flag ([`set_profiling`]), independent of
-//! [`crate::enabled`]: a metrics-only run pays one relaxed atomic load per
-//! scope, and enabling the profiler must not change any computed output
+//! [`crate::enabled`], and enabling it must not change any computed output
 //! (enforced by the datagen byte-identity proptest).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -83,64 +80,11 @@ pub struct ProfileSnapshot {
 
 static TABLE: Mutex<BTreeMap<String, PhaseStat>> = Mutex::new(BTreeMap::new());
 
-struct Frame {
-    name: &'static str,
-    start: Instant,
-    child_ns: u64,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
-
-/// An in-flight profiler frame; folds its timing into the global table on
-/// drop. A no-op (no clock read, no allocation) while profiling is off.
-#[must_use = "a profiler scope measures the block it lives in"]
-pub struct Scope {
-    live: bool,
-}
-
-/// Opens a profiler frame named `name` nested under the thread's current
-/// frame. Phase names should be static, low-cardinality identifiers
-/// (`"datagen.replay"`, not one name per replay) — the table is keyed by
-/// path, and a `;` in a name would corrupt the collapsed-stack output, so
-/// it is replaced with `_`.
-pub fn scope(name: &'static str) -> Scope {
-    if !profiling() {
-        return Scope { live: false };
-    }
-    STACK.with(|stack| {
-        stack.borrow_mut().push(Frame { name, start: Instant::now(), child_ns: 0 });
-    });
-    Scope { live: true }
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if !self.live {
-            return;
-        }
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let Some(frame) = stack.pop() else { return };
-            let total_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let self_ns = total_ns.saturating_sub(frame.child_ns);
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(total_ns);
-            }
-            let mut path = String::new();
-            for f in stack.iter() {
-                path.push_str(&f.name.replace(';', "_"));
-                path.push(';');
-            }
-            path.push_str(&frame.name.replace(';', "_"));
-            TABLE
-                .lock()
-                .expect("profiler table poisoned")
-                .entry(path)
-                .or_default()
-                .fold(total_ns, self_ns);
-        });
+/// Folds one closed scope into the table row for `path`. A scope's drop
+/// calls this, so it must not panic: a poisoned table drops the sample.
+pub(crate) fn fold(path: String, total_ns: u64, self_ns: u64) {
+    if let Ok(mut table) = TABLE.lock() {
+        table.entry(path).or_default().fold(total_ns, self_ns);
     }
 }
 
@@ -199,11 +143,8 @@ pub fn table(profile: &ProfileSnapshot) -> String {
 mod tests {
     use super::*;
 
-    /// Serializes profiler tests: they share the global table and flag.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     fn with_profiling<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         reset();
         set_profiling(true);
         let r = f();
@@ -213,11 +154,11 @@ mod tests {
 
     #[test]
     fn disabled_scopes_record_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         reset();
         set_profiling(false);
         {
-            let _s = scope("never");
+            let _s = crate::scope!("test.never");
         }
         assert!(snapshot().phases.is_empty());
     }
@@ -226,17 +167,17 @@ mod tests {
     fn nesting_builds_paths_and_attributes_self_time() {
         let snap = with_profiling(|| {
             {
-                let _outer = scope("outer");
+                let _outer = crate::scope!("test.outer");
                 std::thread::sleep(std::time::Duration::from_millis(4));
                 {
-                    let _inner = scope("inner");
+                    let _inner = crate::scope!("test.inner");
                     std::thread::sleep(std::time::Duration::from_millis(4));
                 }
             }
             snapshot()
         });
-        let outer = &snap.phases["outer"];
-        let inner = &snap.phases["outer;inner"];
+        let outer = &snap.phases["test.outer"];
+        let inner = &snap.phases["test.outer;test.inner"];
         assert_eq!((outer.calls, inner.calls), (1, 1));
         assert!(outer.total_ns >= inner.total_ns, "parent total covers child");
         assert!(
@@ -251,25 +192,25 @@ mod tests {
     fn repeated_calls_aggregate() {
         let snap = with_profiling(|| {
             for _ in 0..5 {
-                let _s = scope("leaf");
+                let _s = crate::scope!("test.leaf");
             }
             snapshot()
         });
-        assert_eq!(snap.phases["leaf"].calls, 5);
-        assert!(snap.phases["leaf"].min_ns <= snap.phases["leaf"].mean_ns() as u64);
+        assert_eq!(snap.phases["test.leaf"].calls, 5);
+        assert!(snap.phases["test.leaf"].min_ns <= snap.phases["test.leaf"].mean_ns() as u64);
     }
 
     #[test]
     fn collapsed_and_table_render() {
         let snap = with_profiling(|| {
             {
-                let _a = scope("a");
-                let _b = scope("b");
+                let _a = crate::scope!("test.a");
+                let _b = crate::scope!("test.b");
             }
             snapshot()
         });
         let collapsed = collapsed(&snap);
-        assert!(collapsed.contains("a;b "), "{collapsed}");
+        assert!(collapsed.contains("test.a;test.b "), "{collapsed}");
         for line in collapsed.lines() {
             let (stack, value) = line.rsplit_once(' ').expect("line has a value");
             assert!(!stack.is_empty());
@@ -277,14 +218,14 @@ mod tests {
         }
         let table = table(&snap);
         assert!(table.contains("phase"), "{table}");
-        assert!(table.contains("a;b"), "{table}");
+        assert!(table.contains("test.a;test.b"), "{table}");
     }
 
     #[test]
     fn snapshot_roundtrips_through_json() {
         let snap = with_profiling(|| {
             {
-                let _s = scope("json");
+                let _s = crate::scope!("test.json");
             }
             snapshot()
         });
@@ -297,17 +238,17 @@ mod tests {
     fn sibling_threads_do_not_share_stacks() {
         let snap = with_profiling(|| {
             let t = std::thread::spawn(|| {
-                let _s = scope("worker-phase");
+                let _s = crate::scope!("test.worker");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             });
             {
-                let _s = scope("main-phase");
+                let _s = crate::scope!("test.main");
                 t.join().unwrap();
             }
             snapshot()
         });
-        assert!(snap.phases.contains_key("worker-phase"), "{snap:?}");
-        assert!(snap.phases.contains_key("main-phase"), "{snap:?}");
-        assert!(!snap.phases.keys().any(|k| k.contains("main-phase;worker-phase")));
+        assert!(snap.phases.contains_key("test.worker"), "{snap:?}");
+        assert!(snap.phases.contains_key("test.main"), "{snap:?}");
+        assert!(!snap.phases.keys().any(|k| k.contains("test.main;test.worker")));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The registry's counters are lifetime totals — useful for a post-mortem
 //! snapshot, useless for answering "how fast is it going *right now*".
-//! A [`TimeSeries`] samples a [`Registry`](crate::metrics::Registry) on a
+//! A [`TimeSeries`] samples a [`Registry`] on a
 //! fixed interval into one bounded [`Ring`] of [`Sample`]s, and
 //! [`TimeSeries::window`] turns the newest N samples into per-counter
 //! deltas and rates. The embedded exporter serves this as

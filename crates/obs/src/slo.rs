@@ -287,15 +287,6 @@ pub fn default_rules() -> Vec<SloRule> {
             },
         },
         SloRule {
-            name: "sim-throughput".into(),
-            kind: RuleKind::MaxRegression {
-                source: "BENCH_sim".into(),
-                key: "skip_cycles_per_sec".into(),
-                max_regression_pct: 90.0,
-                direction: Direction::HigherIsBetter,
-            },
-        },
-        SloRule {
             name: "replay-cache-hit-ratio".into(),
             kind: RuleKind::MinRatio {
                 numerator: "sim.cache_hits".into(),

@@ -1,37 +1,32 @@
-//! Span-based tracing into per-thread ring buffers, exported as Chrome
-//! `trace_event` JSON.
+//! Per-thread trace rings, exported as Chrome `trace_event` JSON.
 //!
-//! Each thread records completed spans into its own bounded [`Ring`] — a
-//! push takes the thread's *own* uncontended mutex, never a global one —
-//! and a global drain collects every thread's events for export. The
-//! export format is the Chrome Trace Event "JSON object format"
-//! (`{"traceEvents": [...]}` with `ph: "X"` complete events), loadable
-//! directly in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
-//!
-//! Spans are RAII guards: opening records the start instant, dropping
-//! records the event. When observability is disabled ([`crate::enabled`]),
-//! [`crate::span!`] produces a no-op guard without formatting the name or
-//! reading the clock.
+//! Every [`crate::scope!`] that closes while tracing is on records one
+//! [`TraceEvent`] into its thread's own bounded [`Ring`] — a push takes the
+//! thread's *own* uncontended mutex, never a global one — and a global
+//! drain collects every thread's events for export. The export format is
+//! the Chrome Trace Event "JSON object format" (`{"traceEvents": [...]}`
+//! with `ph: "X"` complete events), loadable directly in `chrome://tracing`
+//! or [Perfetto](https://ui.perfetto.dev).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 use crate::ring::Ring;
 
-/// Default per-thread event-ring capacity (newest events win).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+/// Per-thread event-ring capacity (newest events win).
+const RING_CAPACITY: usize = 1 << 16;
 
-/// One completed span, timestamped in microseconds relative to the first
-/// observation of the process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One closed scope, timestamped in microseconds relative to the first
+/// traced scope of the process.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Span name (e.g. `replay:lbm#3@op2`).
-    pub name: String,
-    /// Category (e.g. `datagen`, `exec`, `train`, `sim`).
-    pub cat: String,
+    /// The scope's phase (e.g. `datagen.replay`).
+    pub name: &'static str,
+    /// The phase's first dot segment (e.g. `datagen`).
+    pub cat: &'static str,
+    /// The scope's formatted detail (e.g. `sgemm#3@op2`); may be empty.
+    pub detail: String,
     /// Start, µs since the trace epoch.
     pub ts_us: f64,
     /// Duration in µs.
@@ -40,114 +35,47 @@ pub struct TraceEvent {
     pub tid: u64,
 }
 
-struct ThreadBuf {
-    tid: u64,
+/// One thread's trace ring, registered globally so its events survive the
+/// thread.
+pub(crate) struct ThreadBuf {
+    pub(crate) tid: u64,
     name: String,
     ring: Mutex<Ring<TraceEvent>>,
 }
 
+impl ThreadBuf {
+    /// Records `event`; a scope's drop calls this, so it must not panic: a
+    /// poisoned ring drops the event.
+    pub(crate) fn push(&self, event: TraceEvent) {
+        if let Ok(mut ring) = self.ring.lock() {
+            ring.push(event);
+        }
+    }
+}
+
 static BUFS: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+/// Fixes the trace epoch at `start` unless an earlier scope already did.
+pub(crate) fn start_epoch(start: Instant) {
+    EPOCH.get_or_init(|| start);
 }
 
-/// Microseconds since the trace epoch.
-fn now_us() -> f64 {
-    epoch().elapsed().as_secs_f64() * 1e6
+/// Microseconds from the trace epoch to `t`.
+pub(crate) fn micros_since_epoch(t: Instant) -> f64 {
+    EPOCH.get().map_or(0.0, |epoch| t.saturating_duration_since(*epoch).as_secs_f64() * 1e6)
 }
 
-/// Sets the ring capacity used by threads that have not yet recorded a
-/// span (existing thread buffers keep their capacity).
-pub fn set_thread_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-}
-
-fn local_buf() -> Arc<ThreadBuf> {
-    thread_local! {
-        static LOCAL: Arc<ThreadBuf> = {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let name = std::thread::current()
-                .name()
-                .map_or_else(|| format!("thread-{tid}"), str::to_string);
-            let buf = Arc::new(ThreadBuf {
-                tid,
-                name,
-                ring: Mutex::new(Ring::new(RING_CAPACITY.load(Ordering::Relaxed))),
-            });
-            BUFS.lock().expect("trace buffer registry poisoned").push(Arc::clone(&buf));
-            buf
-        };
-    }
-    LOCAL.with(Arc::clone)
-}
-
-/// An in-flight span; records a [`TraceEvent`] when dropped.
-///
-/// Construct through [`crate::span!`] (which skips name formatting while
-/// disabled) or [`span`].
-#[must_use = "a span measures the scope it lives in"]
-#[derive(Debug)]
-pub struct Span {
-    inner: Option<SpanInner>,
-}
-
-#[derive(Debug)]
-struct SpanInner {
-    name: String,
-    cat: &'static str,
-    start_us: f64,
-}
-
-impl Span {
-    /// A no-op span (what [`crate::span!`] yields while disabled).
-    pub fn disabled() -> Span {
-        Span { inner: None }
-    }
-}
-
-/// Opens a span; the returned guard records the event on drop. Returns a
-/// no-op guard while observability is disabled.
-pub fn span(name: impl Into<String>, cat: &'static str) -> Span {
-    if !crate::enabled() {
-        return Span::disabled();
-    }
-    Span { inner: Some(SpanInner { name: name.into(), cat, start_us: now_us() }) }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
-        let end = now_us();
-        let buf = local_buf();
-        let event = TraceEvent {
-            name: inner.name,
-            cat: inner.cat.to_string(),
-            ts_us: inner.start_us,
-            dur_us: (end - inner.start_us).max(0.0),
-            tid: buf.tid,
-        };
-        buf.ring.lock().expect("trace ring poisoned").push(event);
-    }
-}
-
-/// Records an instantaneous (zero-duration) event.
-pub fn instant(name: impl Into<String>, cat: &'static str) {
-    if !crate::enabled() {
-        return;
-    }
-    let buf = local_buf();
-    let event = TraceEvent {
-        name: name.into(),
-        cat: cat.to_string(),
-        ts_us: now_us(),
-        dur_us: 0.0,
-        tid: buf.tid,
-    };
-    buf.ring.lock().expect("trace ring poisoned").push(event);
+/// Registers a ring for the calling thread. A scope's drop calls this, so
+/// it must not panic; a poisoned registry is still a valid list of rings.
+pub(crate) fn register_thread() -> Arc<ThreadBuf> {
+    let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    let name =
+        std::thread::current().name().map_or_else(|| format!("thread-{tid}"), str::to_string);
+    let buf = Arc::new(ThreadBuf { tid, name, ring: Mutex::new(Ring::new(RING_CAPACITY)) });
+    BUFS.lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&buf));
+    buf
 }
 
 /// Collects (and clears) every thread's retained events, sorted by start
@@ -169,8 +97,9 @@ pub fn drain() -> (Vec<TraceEvent>, Vec<(u64, String)>) {
 }
 
 /// Drains every buffer and renders the Chrome Trace Event JSON object
-/// format: complete (`ph: "X"`) events plus `thread_name` metadata, ready
-/// for `chrome://tracing` / Perfetto.
+/// format: complete (`ph: "X"`) events, each with its detail as
+/// `args.detail`, plus `thread_name` metadata, ready for
+/// `chrome://tracing` / Perfetto.
 ///
 /// # Panics
 ///
@@ -193,12 +122,17 @@ pub fn chrome_trace_json() -> String {
     for e in events {
         let mut m = serde::Map::new();
         m.insert("ph".into(), Value::String("X".into()));
-        m.insert("name".into(), Value::String(e.name));
-        m.insert("cat".into(), Value::String(e.cat));
+        m.insert("name".into(), Value::String(e.name.into()));
+        m.insert("cat".into(), Value::String(e.cat.into()));
         m.insert("ts".into(), Value::Number(serde::Number::F(e.ts_us)));
         m.insert("dur".into(), Value::Number(serde::Number::F(e.dur_us)));
         m.insert("pid".into(), Value::Number(serde::Number::U(1)));
         m.insert("tid".into(), Value::Number(serde::Number::U(e.tid)));
+        if !e.detail.is_empty() {
+            let mut args = serde::Map::new();
+            args.insert("detail".into(), Value::String(e.detail));
+            m.insert("args".into(), Value::Object(args));
+        }
         out.push(Value::Object(m));
     }
     let mut root = serde::Map::new();
@@ -216,12 +150,12 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(false);
         {
-            let _s = span("ignored", "test");
+            let _s = crate::scope!("test.ignored");
         }
-        // The shared buffers may hold events from other tests; a disabled
-        // span must simply not add one with this name.
+        // The shared buffers may hold events from other tests; a scope
+        // opened while tracing is off must simply not add one.
         let (events, _) = drain();
-        assert!(events.iter().all(|e| e.name != "ignored"));
+        assert!(events.iter().all(|e| e.name != "test.ignored"));
     }
 
     #[test]
@@ -229,24 +163,26 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         {
-            let _outer = span("outer-span-test", "test");
+            let _outer = crate::scope!("test.outer", "outer {}", 1);
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let _inner = span("inner-span-test", "test");
+            let _inner = crate::scope!("test.inner");
         }
         let json = chrome_trace_json();
         crate::set_enabled(false);
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("outer-span-test"));
-        assert!(json.contains("inner-span-test"));
+        assert!(json.contains("test.inner"));
         assert!(json.contains("thread_name"));
         // The export must be valid JSON.
         let v: serde::Value = serde_json::from_str(&json).unwrap();
         let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         let outer = events
             .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("outer-span-test"))
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("test.outer"))
             .expect("outer event present");
         assert_eq!(outer.get("ph").and_then(|p| p.as_str()), Some("X"));
+        assert_eq!(outer.get("cat").and_then(|p| p.as_str()), Some("test"));
+        let detail = outer.get("args").and_then(|a| a.get("detail")).and_then(|d| d.as_str());
+        assert_eq!(detail, Some("outer 1"));
         assert!(outer.get("dur").and_then(serde::Value::as_f64).unwrap() >= 1_000.0);
     }
 
@@ -257,7 +193,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let _s = span(format!("worker-span-{i}"), "test");
+                    let _s = crate::scope!("test.worker", "worker {i}");
                 })
             })
             .collect();
@@ -268,8 +204,8 @@ mod tests {
         crate::set_enabled(false);
         for i in 0..4 {
             assert!(
-                events.iter().any(|e| e.name == format!("worker-span-{i}")),
-                "worker {i}'s span must survive its thread"
+                events.iter().any(|e| e.name == "test.worker" && e.detail == format!("worker {i}")),
+                "worker {i}'s event must survive its thread"
             );
         }
     }

@@ -14,8 +14,8 @@
 //!   paper's two-stage compression;
 //! * [`QuantizedMlp`], [`Int8Net`] — INT8 weight quantization and the
 //!   integer inference kernel;
-//! * [`permutation_importance`], [`recursive_feature_elimination`] — the
-//!   RFE feature selection of Table I;
+//! * [`column_importance`] — the permutation-importance measurement behind
+//!   the RFE feature selection of Table I;
 //! * [`Normalizer`], [`ClassificationData`], [`RegressionData`] — dataset
 //!   plumbing shared by offline training and the runtime controller;
 //! * [`Pool`] — the workspace's one compute pool, a persistent worker team
@@ -69,9 +69,7 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use par::Pool;
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
 pub use quant::{Int8Net, QuantizedMlp};
-pub use select::{
-    column_importance, permutation_importance, recursive_feature_elimination, splitmix64, RfeStep,
-};
+pub use select::{column_importance, splitmix64};
 pub use train::{
     grad_shards, shard_span, train_classifier, train_classifier_masked,
     train_classifier_parallel_with, train_classifier_with, train_regressor, train_regressor_masked,

@@ -38,7 +38,7 @@ pub fn mape(outputs: &Matrix, targets: &[f32]) -> f64 {
 /// [`mape`] that also reports how many near-zero targets were skipped, so
 /// callers can see when the metric silently covers only part of the batch.
 /// The skip count is additionally recorded on the
-/// `tinynn.mape.skipped_targets` counter in the metrics registry.
+/// `train.mape_skipped_targets` counter in the metrics registry.
 ///
 /// # Panics
 ///
@@ -58,7 +58,7 @@ pub fn mape_counted(outputs: &Matrix, targets: &[f32]) -> (f64, usize) {
         count += 1;
     }
     assert!(count > 0, "MAPE needs at least one non-zero target");
-    obs::counter!("tinynn.mape.skipped_targets").inc(skipped as u64);
+    obs::counter!("train.mape_skipped_targets").inc(skipped as u64);
     (100.0 * total / count as f64, skipped)
 }
 

@@ -1,16 +1,15 @@
-//! Feature selection: permutation importance and recursive feature
-//! elimination (RFE).
+//! Feature selection: permutation importance, the measurement behind
+//! recursive feature elimination (RFE).
 //!
 //! Section IV-A of the paper refines 47 performance counters down to 5 using
 //! RFE, "measuring the impact on model accuracy when a specific feature's
-//! values are shuffled". [`permutation_importance`] implements exactly that
-//! measurement; [`recursive_feature_elimination`] drives the elimination
-//! loop generically so the caller controls training.
+//! values are shuffled". [`column_importance`] implements exactly that
+//! measurement for one column; `ssmdvfs::rfe` drives the elimination loop
+//! and fans the columns out over the compute pool.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
 
@@ -33,18 +32,24 @@ fn task_seed(seed: u64, col: usize, repeat: usize) -> u64 {
     splitmix64(seed ^ splitmix64(((col as u64) << 32) | repeat as u64))
 }
 
-/// Permutation importance of every feature: the drop in `score` (higher =
-/// better) when that feature's column is shuffled, averaged over `repeats`
-/// shuffles.
+/// Permutation importance of column `col`: the drop in `score` (higher =
+/// better) from the precomputed unshuffled `baseline` when that column's
+/// values are shuffled, averaged over `repeats` shuffles. Each
+/// `(column, repeat)` shuffle draws from its own [`splitmix64`]-derived
+/// seed, so the result depends only on the inputs, never on which other
+/// columns were evaluated or in what order. That makes a parallel fan-out
+/// over columns byte-identical to the serial loop at any worker count (the
+/// property `ssmdvfs::rfe` is built on).
 ///
 /// # Panics
 ///
-/// Panics if `repeats` is zero or `x` is empty.
+/// Panics if `repeats` is zero, `col` is out of range, or `x` has fewer
+/// than two rows.
 ///
 /// # Examples
 ///
 /// ```
-/// use tinynn::{permutation_importance, Matrix};
+/// use tinynn::{column_importance, Matrix};
 ///
 /// // A "model" that only uses feature 0.
 /// let x = Matrix::from_rows(&[&[1.0, 9.0], &[2.0, 3.0], &[3.0, 7.0], &[4.0, 1.0]]);
@@ -52,31 +57,11 @@ fn task_seed(seed: u64, col: usize, repeat: usize) -> u64 {
 ///     // Reward monotone agreement with the true order of feature 0.
 ///     -(0..m.rows()).map(|r| (m[(r, 0)] - (r as f32 + 1.0)).abs() as f64).sum::<f64>()
 /// };
-/// let imp = permutation_importance(&x, score, 8, 42);
-/// assert!(imp[0] > imp[1], "feature 0 must matter more: {imp:?}");
+/// let baseline = score(&x);
+/// let used = column_importance(&x, score, baseline, 0, 8, 42);
+/// let unused = column_importance(&x, score, baseline, 1, 8, 42);
+/// assert!(used > unused, "feature 0 must matter more: {used} vs {unused}");
 /// ```
-pub fn permutation_importance<F>(x: &Matrix, score: F, repeats: usize, seed: u64) -> Vec<f64>
-where
-    F: Fn(&Matrix) -> f64,
-{
-    assert!(repeats > 0, "at least one shuffle repeat is required");
-    assert!(x.rows() > 1, "permutation importance needs at least two rows");
-    let baseline = score(x);
-    (0..x.cols()).map(|col| column_importance(x, &score, baseline, col, repeats, seed)).collect()
-}
-
-/// Permutation importance of a single column against a precomputed
-/// `baseline` score — the unit of work [`permutation_importance`] runs per
-/// column. Each `(column, repeat)` shuffle draws from its own
-/// [`splitmix64`]-derived seed, so the result depends only on the inputs,
-/// never on which other columns were evaluated or in what order. That makes
-/// a parallel fan-out over columns byte-identical to the serial loop at any
-/// worker count (the property `ssmdvfs::rfe` is built on).
-///
-/// # Panics
-///
-/// Panics if `repeats` is zero, `col` is out of range, or `x` has fewer
-/// than two rows.
 pub fn column_importance<F>(
     x: &Matrix,
     score: F,
@@ -109,63 +94,6 @@ where
     drop / repeats as f64
 }
 
-/// One elimination step of RFE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RfeStep {
-    /// The (original-index) feature eliminated at this step.
-    pub eliminated: usize,
-    /// Features still active after the elimination, by original index.
-    pub remaining: Vec<usize>,
-    /// The model score achieved with the remaining features.
-    pub score: f64,
-}
-
-/// Recursive feature elimination: repeatedly drops the least-important
-/// feature until `keep` remain.
-///
-/// `fit_score(active)` must train a fresh model on the given
-/// (original-index) features and return `(score, importance)`, where
-/// `importance[i]` corresponds to `active[i]` (e.g. from
-/// [`permutation_importance`]).
-///
-/// Returns the elimination trace (first step first) and the surviving
-/// feature indices.
-///
-/// # Panics
-///
-/// Panics if `keep` is zero or not less than `num_features`, or if
-/// `fit_score` returns an importance vector of the wrong length.
-pub fn recursive_feature_elimination<F>(
-    num_features: usize,
-    keep: usize,
-    mut fit_score: F,
-) -> (Vec<RfeStep>, Vec<usize>)
-where
-    F: FnMut(&[usize]) -> (f64, Vec<f64>),
-{
-    assert!(keep > 0, "must keep at least one feature");
-    assert!(keep < num_features, "keep must be less than the feature count");
-    let mut active: Vec<usize> = (0..num_features).collect();
-    let mut trace = Vec::new();
-    while active.len() > keep {
-        let (score, importance) = fit_score(&active);
-        assert_eq!(
-            importance.len(),
-            active.len(),
-            "importance vector must match the active feature count"
-        );
-        let weakest = importance
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("active set is non-empty");
-        let eliminated = active.remove(weakest);
-        trace.push(RfeStep { eliminated, remaining: active.clone(), score });
-    }
-    (trace, active)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,9 +103,11 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 5.0], &[2.0, 6.0], &[3.0, 7.0], &[4.0, 8.0]]);
         // Score only reads feature 0.
         let score = |m: &Matrix| (0..m.rows()).map(|r| m[(r, 0)] as f64).sum::<f64>();
-        let imp = permutation_importance(&x, score, 4, 1);
-        assert!(imp[0].abs() < 1e-9, "sum is shuffle-invariant for the used column");
-        assert!(imp[1].abs() < 1e-9);
+        let baseline = score(&x);
+        let used = column_importance(&x, score, baseline, 0, 4, 1);
+        let unused = column_importance(&x, score, baseline, 1, 4, 1);
+        assert!(used.abs() < 1e-9, "sum is shuffle-invariant for the used column");
+        assert!(unused.abs() < 1e-9);
     }
 
     #[test]
@@ -201,9 +131,9 @@ mod tests {
                 })
                 .sum::<f64>()
         };
-        let imp = permutation_importance(&x, score, 8, 7);
-        assert!(imp[0] > 1.0);
-        assert!(imp[1].abs() < 1e-9);
+        let baseline = score(&x);
+        assert!(column_importance(&x, score, baseline, 0, 8, 7) > 1.0);
+        assert!(column_importance(&x, score, baseline, 1, 8, 7).abs() < 1e-9);
     }
 
     #[test]
@@ -225,33 +155,13 @@ mod tests {
             (0..m.rows()).map(|r| (m[(r, 0)] * 2.0 + m[(r, 1)]) as f64).product::<f64>()
         };
         let baseline = score(&x);
-        let serial = permutation_importance(&x, score, 5, 77);
+        let serial: Vec<f64> =
+            (0..x.cols()).map(|col| column_importance(&x, score, baseline, col, 5, 77)).collect();
         // Evaluating columns in reverse (or any) order reproduces the same
         // values bit for bit — the property the parallel RFE fan-out needs.
         for col in (0..x.cols()).rev() {
             let got = column_importance(&x, score, baseline, col, 5, 77);
             assert_eq!(got.to_bits(), serial[col].to_bits(), "column {col}");
         }
-    }
-
-    #[test]
-    fn rfe_eliminates_noise_features_first() {
-        // Importance oracle: features 0 and 2 matter, 1 and 3 are noise.
-        let true_importance = [10.0, 0.1, 5.0, 0.2];
-        let (trace, survivors) = recursive_feature_elimination(4, 2, |active| {
-            let imp: Vec<f64> = active.iter().map(|&f| true_importance[f]).collect();
-            (1.0, imp)
-        });
-        assert_eq!(survivors, vec![0, 2]);
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].eliminated, 1);
-        assert_eq!(trace[1].eliminated, 3);
-        assert_eq!(trace[1].remaining, vec![0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "keep must be less")]
-    fn rfe_rejects_keeping_everything() {
-        recursive_feature_elimination(3, 3, |_| (0.0, vec![0.0; 3]));
     }
 }

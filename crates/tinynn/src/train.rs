@@ -426,8 +426,7 @@ pub fn train_classifier_parallel_with(
 ) -> TrainReport {
     assert_eq!(mlp.output_size(), train.num_classes, "output width must equal class count");
     assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
-    let _span = obs::span!("train", "train_classifier:{} rows", train.len());
-    let _prof = obs::prof::scope("train.classifier");
+    let _scope = obs::scope!("train.classifier", "{} rows", train.len());
     // Pre-register the shard counters so a serial run still exports them.
     obs::counter!("train.grad_shards").inc(0);
     obs::counter!("train.parallel_batches").inc(0);
@@ -493,15 +492,15 @@ pub fn train_classifier_parallel_with(
         forward_gathered(mlp, &val.x, pool, shards, val_out);
         let acc = accuracy(val_out, &val.y);
         report.val_metric.push(acc);
-        obs::counter!("tinynn.train.epochs").inc(1);
-        obs::gauge!("tinynn.train.classifier_loss").set(epoch_loss / num_batches as f64);
-        obs::gauge!("tinynn.train.val_accuracy").set(acc);
+        obs::counter!("train.epochs").inc(1);
+        obs::gauge!("train.classifier_loss").set(epoch_loss / num_batches as f64);
+        obs::gauge!("train.val_accuracy").set(acc);
         if acc > report.best_metric {
             report.best_metric = acc;
             report.best_epoch = epoch;
             best_weights.copy_weights_from(mlp);
         } else if epoch - report.best_epoch >= config.patience {
-            obs::counter!("tinynn.train.early_stops").inc(1);
+            obs::counter!("train.early_stops").inc(1);
             break;
         }
     }
@@ -574,8 +573,7 @@ pub fn train_regressor_parallel_with(
     pool: &Pool,
 ) -> TrainReport {
     assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
-    let _span = obs::span!("train", "train_regressor:{} rows", train.len());
-    let _prof = obs::prof::scope("train.regressor");
+    let _scope = obs::scope!("train.regressor", "{} rows", train.len());
     obs::counter!("train.grad_shards").inc(0);
     obs::counter!("train.parallel_batches").inc(0);
     let TrainScratch { indices, grads, val_out, shards } = scratch;
@@ -616,15 +614,15 @@ pub fn train_regressor_parallel_with(
         forward_gathered(mlp, &val.x, pool, shards, val_out);
         let m = mape(val_out, &val.y);
         report.val_metric.push(m);
-        obs::counter!("tinynn.train.epochs").inc(1);
-        obs::gauge!("tinynn.train.regressor_loss").set(epoch_loss / num_batches as f64);
-        obs::gauge!("tinynn.train.val_mape").set(m);
+        obs::counter!("train.epochs").inc(1);
+        obs::gauge!("train.regressor_loss").set(epoch_loss / num_batches as f64);
+        obs::gauge!("train.val_mape").set(m);
         if m < report.best_metric {
             report.best_metric = m;
             report.best_epoch = epoch;
             best_weights.copy_weights_from(mlp);
         } else if epoch - report.best_epoch >= config.patience {
-            obs::counter!("tinynn.train.early_stops").inc(1);
+            obs::counter!("train.early_stops").inc(1);
             break;
         }
     }
