@@ -12,6 +12,13 @@ cargo fmt --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings, the repository's own packages)"
+# One `-p` per package: `--workspace` would also document the vendored
+# stand-ins under vendor/, which are implicit path members.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
+  -p ssmdvfs-repro -p dvfs-baselines -p ssmdvfs-bench -p ssmdvfs-cli -p ssmdvfs \
+  -p gpu-power -p gpu-sim -p ssmdvfs-obs -p tinynn -p gpu-workloads
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -336,7 +336,7 @@ struct DecideBaseline {
     /// Timed iterations per measurement (each taken as the best of several
     /// rounds to shed scheduler noise).
     iters: usize,
-    /// ns per single forward through the compressed [6,12,12,6] decision
+    /// ns per single forward through the compressed `[6, 12, 12, 6]` decision
     /// head on the flat-arena INT8 kernel.
     kernel_int8_ns: f64,
     /// ns per complete decision (feature extraction, calibration, both

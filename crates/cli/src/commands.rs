@@ -22,11 +22,12 @@ use ssmdvfs::checkpoint::CheckpointJournal;
 use ssmdvfs::exec::FaultPolicy;
 use ssmdvfs::serve::{DecisionService, ServeConfig};
 use ssmdvfs::{
-    compress_and_finetune_jobs, estimate_asic, evaluate, generate_suite_with, select_features_with,
-    train_combined_jobs, AsicConfig, CombinedModel, DataGenConfig, DvfsDataset, FeatureSet,
-    ModelArch, RfeOptions, SsmdvfsConfig, SsmdvfsGovernor, SuiteOptions,
+    compress_and_finetune_prepared, estimate_asic, evaluate, generate_suite_with,
+    select_features_with, train_prepared, AsicConfig, CombinedModel, DataGenConfig, DvfsDataset,
+    FeatureSet, FinetuneSplits, ModelArch, PreparedSplits, RfeOptions, SsmdvfsConfig, SsmdvfsError,
+    SsmdvfsGovernor, SuiteOptions,
 };
-use tinynn::TrainConfig;
+use tinynn::{Pool, TrainConfig, TrainScratch};
 
 use crate::args::{Args, ParseArgsError};
 
@@ -205,6 +206,12 @@ fn load_model(path: &str) -> Result<CombinedModel, ParseArgsError> {
 
 fn load_dataset(path: &str) -> Result<DvfsDataset, ParseArgsError> {
     DvfsDataset::load(path).map_err(|e| err(e.to_string()))
+}
+
+/// A dataset that cannot train (see `PreparedSplits::try_prepare`), named
+/// by its path and attributed to `stage`.
+fn unusable_dataset(stage: &'static str, path: &str, e: SsmdvfsError) -> ParseArgsError {
+    err_in(stage, format!("dataset '{path}': {e}"))
 }
 
 /// `list-benchmarks`.
@@ -469,18 +476,27 @@ fn arch(args: &Args) -> Result<ModelArch, ParseArgsError> {
 
 /// `train`.
 pub fn train(args: &Args) -> CmdResult {
-    let dataset = load_dataset(args.require("dataset")?)?;
+    let dataset_path = args.require("dataset")?;
+    let dataset = load_dataset(dataset_path)?;
     let out_path = args.require("out")?;
     let train_cfg =
-        TrainConfig { epochs: args.get_usize("epochs", 300)?, ..TrainConfig::default() };
+        TrainConfig { epochs: positive(args, "epochs", 300)?, ..TrainConfig::default() };
     let jobs = args.get_usize("jobs", 1)?;
+    let arch = arch(args)?;
     let mut out = String::new();
+    // Both heads need a training and a validation split; a dataset too
+    // small for that is rejected before RFE or training runs. The row
+    // counts do not depend on the feature set, so the refined five check
+    // for whatever RFE selects.
+    let refined =
+        PreparedSplits::try_prepare(&dataset, &FeatureSet::refined(), 6, &train_cfg, 0.25)
+            .map_err(|e| unusable_dataset("train", dataset_path, e))?;
     // `--rfe <keep>` re-derives the feature set from this dataset instead of
     // trusting the paper's refined five; the per-round retrains and the
     // per-column importance work both fan out over `--jobs` workers without
     // changing the selection.
-    let features = match args.get("rfe") {
-        None if !args.flag("rfe") => FeatureSet::refined(),
+    let prep = match args.get("rfe") {
+        None if !args.flag("rfe") => refined,
         _ => {
             let keep = args.get_usize("rfe", 4)?;
             let candidates = ssmdvfs::candidate_counters().len();
@@ -488,7 +504,7 @@ pub fn train(args: &Args) -> CmdResult {
                 return Err(err(format!("--rfe must be in 1..{candidates}")));
             }
             let rfe_cfg =
-                TrainConfig { epochs: args.get_usize("rfe-epochs", 8)?, ..TrainConfig::default() };
+                TrainConfig { epochs: positive(args, "rfe-epochs", 8)?, ..TrainConfig::default() };
             let opts = RfeOptions { jobs, ..RfeOptions::default() };
             let sel = select_features_with(&dataset, 6, keep, &rfe_cfg, &opts);
             let _ = writeln!(
@@ -498,13 +514,13 @@ pub fn train(args: &Args) -> CmdResult {
                 sel.full_accuracy * 100.0,
                 sel.selected_accuracy * 100.0
             );
-            sel.selected
+            PreparedSplits::prepare(&dataset, &sel.selected, 6, &train_cfg, 0.25)
         }
     };
     // The SGD epoch loops shard each minibatch over `--jobs` workers; the
     // trained model is byte-identical at any worker count.
     let (model, summary) =
-        train_combined_jobs(&dataset, &features, &arch(args)?, 6, &train_cfg, 0.25, jobs);
+        train_prepared(&prep, &arch, &train_cfg, &Pool::new(jobs), &mut TrainScratch::new());
     model.save(out_path).map_err(|e| err_in("train", e.to_string()))?;
     let _ = writeln!(
         out,
@@ -520,7 +536,8 @@ pub fn train(args: &Args) -> CmdResult {
 /// `compress`.
 pub fn compress(args: &Args) -> CmdResult {
     let model = load_model(args.require("model")?)?;
-    let dataset = load_dataset(args.require("dataset")?)?;
+    let dataset_path = args.require("dataset")?;
+    let dataset = load_dataset(dataset_path)?;
     let out_path = args.require("out")?;
     let x1 = args.get_f64("x1", 0.6)? as f32;
     let x2 = args.get_f64("x2", 0.9)? as f32;
@@ -528,8 +545,18 @@ pub fn compress(args: &Args) -> CmdResult {
         return Err(err("--x1 and --x2 must be in [0, 1]"));
     }
     let finetune = TrainConfig { epochs: args.get_usize("epochs", 80)?, ..TrainConfig::default() };
-    let compressed =
-        compress_and_finetune_jobs(&model, &dataset, x1, x2, &finetune, args.get_usize("jobs", 1)?);
+    let jobs = args.get_usize("jobs", 1)?;
+    let splits = FinetuneSplits::try_prepare(&model, &dataset, &finetune)
+        .map_err(|e| unusable_dataset("compress", dataset_path, e))?;
+    let compressed = compress_and_finetune_prepared(
+        &model,
+        &splits,
+        x1,
+        x2,
+        &finetune,
+        &Pool::new(jobs),
+        &mut TrainScratch::new(),
+    );
     compressed.save(out_path).map_err(|e| err_in("compress", e.to_string()))?;
     Ok(format!(
         "compressed {} -> {} FLOPs ({:.1}% reduction) -> {out_path}\n",
@@ -1176,6 +1203,69 @@ mod tests {
         let out = asic(&args).unwrap();
         assert!(out.contains("cycles/inference"));
 
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn train_and_compress_reject_untrainable_inputs() {
+        let dir = std::env::temp_dir().join("ssmdvfs_cli_untrainable_test");
+        fs::create_dir_all(&dir).unwrap();
+        let data_path = dir.join("data.json");
+        let args = Args::parse([
+            "datagen",
+            "--out",
+            data_path.to_str().unwrap(),
+            "--benchmarks",
+            "lbm",
+            "--scale",
+            "0.05",
+            "--clusters",
+            "2",
+        ])
+        .unwrap();
+        datagen(&args).unwrap();
+        let dataset = DvfsDataset::load(&data_path).unwrap();
+        let empty_path = dir.join("empty.json");
+        DvfsDataset { samples: Vec::new(), ..dataset.clone() }.save(&empty_path).unwrap();
+        // One idle window: the decision head gets its preset-grid rows, but
+        // the calibrator skips windows under 500 instructions and falls back
+        // to one direct row per sample, which leaves its training split
+        // empty.
+        let mut idle = dataset.samples[0].clone();
+        idle.instructions = 0;
+        let one_path = dir.join("one.json");
+        DvfsDataset { samples: vec![idle], ..dataset.clone() }.save(&one_path).unwrap();
+        let model_path = dir.join("model.json");
+        CombinedModel::synthetic(6, 1).save(&model_path).unwrap();
+        let out = dir.join("out.json");
+        let out_arg = out.to_str().unwrap();
+        let _ = fs::remove_file(&out);
+
+        let (empty, one, data) =
+            (empty_path.to_str().unwrap(), one_path.to_str().unwrap(), data_path.to_str().unwrap());
+        let cases: Vec<(Vec<&str>, &str)> = vec![
+            (vec!["train", "--dataset", empty], "no samples"),
+            (vec!["train", "--dataset", one], "calibrator head gets 1 row(s)"),
+            (vec!["train", "--dataset", one, "--rfe", "4"], "calibrator head gets 1 row(s)"),
+            (vec!["train", "--dataset", data, "--epochs", "0"], "--epochs"),
+            (vec!["train", "--dataset", data, "--rfe", "4", "--rfe-epochs", "0"], "--rfe-epochs"),
+            (vec!["compress", "--dataset", empty], "no samples"),
+            (vec!["compress", "--dataset", one], "calibrator head gets 1 row(s)"),
+        ];
+        for (argv, expected) in cases {
+            let mut argv = argv.clone();
+            argv.extend(["--model", model_path.to_str().unwrap(), "--out", out_arg]);
+            let args = Args::parse(argv.iter().copied()).unwrap();
+            let e = if argv[0] == "train" { train(&args) } else { compress(&args) }.unwrap_err();
+            let text = e.to_string();
+            assert!(text.contains(expected), "{argv:?}: {text}");
+            if expected.starts_with("--") {
+                assert_eq!(e.kind(), crate::args::ErrorKind::InvalidValue, "{argv:?}: {text}");
+            } else {
+                assert!(text.contains(&format!("dataset '{}'", argv[2])), "{argv:?}: {text}");
+            }
+            assert!(!out.exists(), "{argv:?} wrote its output before rejecting the input");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,9 +12,10 @@ use tinynn::{
 };
 
 use crate::datagen::DvfsDataset;
+use crate::error::SsmdvfsError;
 use crate::features::FeatureSet;
 use crate::model::{CombinedModel, ModelArch};
-use crate::train::{train_prepared, PreparedSplits};
+use crate::train::{check_head_rows, train_prepared, PreparedSplits};
 
 /// One point on a FLOPs-vs-quality curve (the axes of Fig. 3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,17 +118,25 @@ impl FinetuneSplits {
     /// the model's own normalizers and seeding the split shuffles from
     /// `config.seed`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the dataset is empty.
-    pub fn prepare(
+    /// Returns [`SsmdvfsError::Stage`] (stage `compress`) if the dataset is
+    /// empty or either head's derived dataset has too few rows to fill both
+    /// a training and a validation split, before anything is fine-tuned.
+    pub fn try_prepare(
         model: &CombinedModel,
         dataset: &DvfsDataset,
         config: &TrainConfig,
-    ) -> FinetuneSplits {
-        assert!(!dataset.is_empty(), "cannot fine-tune on an empty dataset");
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF17E);
+    ) -> Result<FinetuneSplits, SsmdvfsError> {
+        if dataset.is_empty() {
+            return Err(SsmdvfsError::stage("compress", "the dataset has no samples"));
+        }
         let dec_data = dataset.decision_data(&model.feature_set, model.num_ops);
+        let cal_data =
+            dataset.calibrator_data(&model.feature_set, model.num_ops, model.instr_scale);
+        check_head_rows("compress", "decision", dec_data.len(), dataset.len())?;
+        check_head_rows("compress", "calibrator", cal_data.len(), dataset.len())?;
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF17E);
         let dec_data = ClassificationData::new(
             model.decision_norm.transform(&dec_data.x),
             dec_data.y,
@@ -135,11 +144,23 @@ impl FinetuneSplits {
         );
         let (dec_train, dec_val) = dec_data.split(0.25, &mut rng);
         let cal_data =
-            dataset.calibrator_data(&model.feature_set, model.num_ops, model.instr_scale);
-        let cal_data =
             RegressionData::new(model.calibrator_norm.transform(&cal_data.x), cal_data.y);
         let (cal_train, cal_val) = cal_data.split(0.25, &mut rng);
-        FinetuneSplits { dec_train, dec_val, cal_train, cal_val }
+        Ok(FinetuneSplits { dec_train, dec_val, cal_train, cal_val })
+    }
+
+    /// [`FinetuneSplits::try_prepare`] for callers that have already
+    /// checked the dataset.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FinetuneSplits::try_prepare`] returns an error.
+    pub fn prepare(
+        model: &CombinedModel,
+        dataset: &DvfsDataset,
+        config: &TrainConfig,
+    ) -> FinetuneSplits {
+        FinetuneSplits::try_prepare(model, dataset, config).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

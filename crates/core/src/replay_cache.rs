@@ -121,7 +121,10 @@ struct CacheFile {
 const CACHE_VERSION: u32 = 1;
 
 /// A thread-safe, content-addressed store of replay results that persists
-/// across runs. See the [module docs](self) for the keying scheme.
+/// across runs. Each job's samples are keyed by a [`fingerprint`] of the
+/// GPU configuration, the datagen parameters, the workload, the breakpoint
+/// index and the operating point: a 64-bit FNV-1a hash of their serialized
+/// trees, stable across processes and machines.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
     path: Option<PathBuf>,

@@ -19,6 +19,7 @@ use tinynn::{
 };
 
 use crate::datagen::DvfsDataset;
+use crate::error::SsmdvfsError;
 use crate::features::FeatureSet;
 use crate::model::{CombinedModel, ModelArch};
 
@@ -63,30 +64,41 @@ impl PreparedSplits {
     /// `val_frac` of the samples), seeding the split shuffles from
     /// `config.seed`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`SsmdvfsError::Stage`] (stage `train`) if the dataset is
+    /// empty or either head's derived dataset has fewer than two rows, too
+    /// few to fill both a training and a validation split. The check runs
+    /// before anything is normalized or trained.
+    ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty or `num_ops < 2`.
-    pub fn prepare(
+    /// Panics if `num_ops < 2`.
+    pub fn try_prepare(
         dataset: &DvfsDataset,
         features: &FeatureSet,
         num_ops: usize,
         config: &TrainConfig,
         val_frac: f64,
-    ) -> PreparedSplits {
+    ) -> Result<PreparedSplits, SsmdvfsError> {
         assert!(num_ops >= 2, "need at least two operating points");
-        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let _scope = obs::scope!("train.prepare", "{} samples", dataset.len());
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
+        if dataset.is_empty() {
+            return Err(SsmdvfsError::stage("train", "the dataset has no samples"));
+        }
         let dec_data = dataset.decision_data(features, num_ops);
+        let cal_data = dataset.calibrator_data(features, num_ops, INSTR_SCALE);
+        check_head_rows("train", "decision", dec_data.len(), dataset.len())?;
+        check_head_rows("train", "calibrator", cal_data.len(), dataset.len())?;
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
         let dec_norm = Normalizer::fit(&dec_data.x);
         let dec_data =
             ClassificationData::new(dec_norm.transform(&dec_data.x), dec_data.y, num_ops);
         let (dec_train, dec_val) = dec_data.split(val_frac, &mut rng);
-        let cal_data = dataset.calibrator_data(features, num_ops, INSTR_SCALE);
         let cal_norm = Normalizer::fit(&cal_data.x);
         let cal_data = RegressionData::new(cal_norm.transform(&cal_data.x), cal_data.y);
         let (cal_train, cal_val) = cal_data.split(val_frac, &mut rng);
-        PreparedSplits {
+        Ok(PreparedSplits {
             features: features.clone(),
             num_ops,
             samples: dataset.len(),
@@ -96,13 +108,57 @@ impl PreparedSplits {
             dec_val,
             cal_train,
             cal_val,
-        }
+        })
+    }
+
+    /// [`PreparedSplits::try_prepare`] for callers that have already
+    /// checked the dataset.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedSplits::try_prepare`] returns an error, or if
+    /// `num_ops < 2`.
+    pub fn prepare(
+        dataset: &DvfsDataset,
+        features: &FeatureSet,
+        num_ops: usize,
+        config: &TrainConfig,
+        val_frac: f64,
+    ) -> PreparedSplits {
+        PreparedSplits::try_prepare(dataset, features, num_ops, config, val_frac)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of samples in the source dataset.
     pub fn samples(&self) -> usize {
         self.samples
     }
+}
+
+/// Checks that a head's derived dataset of `rows` rows (from `samples`
+/// samples) can be split: holding out a validation split leaves a
+/// non-empty training split only from two rows on. `stage` names the
+/// pipeline stage in the error.
+///
+/// # Errors
+///
+/// Returns [`SsmdvfsError::Stage`] if `rows < 2`.
+pub(crate) fn check_head_rows(
+    stage: &'static str,
+    head: &str,
+    rows: usize,
+    samples: usize,
+) -> Result<(), SsmdvfsError> {
+    if rows >= 2 {
+        return Ok(());
+    }
+    Err(SsmdvfsError::stage(
+        stage,
+        format!(
+            "the {head} head gets {rows} row(s) from the dataset's {samples} sample(s); \
+             it needs at least 2 to fill both a training and a validation split"
+        ),
+    ))
 }
 
 /// Trains a [`CombinedModel`] of the given architecture against prepared

@@ -1,15 +1,19 @@
 //! A minimal row-major `f32` matrix.
 //!
 //! The SSMDVFS networks are tiny (at most 9 layers × 20 neurons), but the
-//! RFE/ablation pipelines retrain them thousands of times, so the two
-//! product kernels ([`Matrix::matmul`] for the forward pass and `delta @ W`,
-//! [`Matrix::transposed_matmul`] for `dW`) are branch-free and blocked for
-//! cache and instruction-level parallelism. Every blocked kernel
-//! accumulates each output element over `k` in ascending order from `0.0`,
-//! which makes [`Matrix::matmul`] **bit-identical** to the naive reference
-//! [`Matrix::matmul_naive`] — a property the `tinynn` property tests
-//! enforce on random shapes. The `*_into` variants write into caller-owned
-//! buffers so training epochs run without heap allocation.
+//! RFE/ablation pipelines retrain them thousands of times, so both products
+//! ([`Matrix::matmul`] for the forward pass and `delta @ W`,
+//! [`Matrix::transposed_matmul`] for `dW`) run through one branch-free,
+//! register-tiled kernel: each 4-row × 8-column output tile (4- and
+//! 1-column tiles at the right edge, 1-row tiles at the bottom) keeps its
+//! 32 accumulators in registers for the whole reduction and is stored once.
+//! Every accumulator sums its terms over `k` in ascending order from `0.0`,
+//! one rounded multiply and one rounded add per term (never a fused
+//! multiply-add), which makes both products **bit-identical** to the naive
+//! triple loop [`Matrix::matmul_naive`] — a property the `tinynn` tests
+//! check by `f32::to_bits` on every tile edge and on random shapes. The
+//! `*_into` variants write into caller-owned buffers so training epochs run
+//! without heap allocation.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -129,69 +133,46 @@ impl Matrix {
 
     /// [`Matrix::matmul`] into a caller-owned buffer (resized as needed).
     ///
-    /// The kernel is branch-free (no zero-skip test — sparsity belongs to
-    /// the CSR programs of the compiled decision plan), blocks the output columns so a
-    /// tile of `other` stays cache-resident across all rows of `self`, and
-    /// unrolls `k` by four: the four contributions are added to the output
-    /// element *sequentially*, so each output still accumulates over `k`
-    /// in ascending order and the result is bit-identical to
-    /// [`Matrix::matmul_naive`] — while the inner loop runs vectorizable
-    /// row-wise updates instead of one serial dot-product chain.
+    /// The product runs through the register-tiled kernel shared with
+    /// [`Matrix::transposed_matmul_into`]: each 4-row × 8-column output tile
+    /// (4- and 1-column tiles at the right edge, 1-row tiles at the bottom)
+    /// accumulates in registers over `k` in ascending order from `0.0`, with
+    /// one rounded multiply and one rounded add per term, and is stored
+    /// once. So every output is bit-identical to [`Matrix::matmul_naive`],
+    /// while the inner loop keeps a tile of `other`'s row in vector
+    /// registers across four rows of `self` and never reloads the output.
+    /// It is branch-free (no zero-skip test: sparsity belongs to the CSR
+    /// programs of the compiled decision plan).
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_map_into(other, out, |_, v| v);
+    }
+
+    /// [`Matrix::matmul_into`] that passes each output element through
+    /// `store(column, value)` as the tile is written: the dense layer folds
+    /// its bias add and activation into the product this way, with the
+    /// same arithmetic as applying them to the finished product.
+    pub(crate) fn matmul_map_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        store: impl Fn(usize, f32) -> f32,
+    ) {
         assert_eq!(
             self.cols, other.rows,
             "inner dimensions must agree: ({}x{}) @ ({}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        const JBLOCK: usize = 64;
         out.reshape(self.rows, other.cols);
-        out.data.iter_mut().for_each(|v| *v = 0.0);
-        let n = other.cols;
-        let kk = self.cols;
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + JBLOCK).min(n);
-            for i in 0..self.rows {
-                let arow = &self.data[i * kk..(i + 1) * kk];
-                let orow = &mut out.data[i * n + j0..i * n + j1];
-                let mut k = 0;
-                while k + 4 <= kk {
-                    let (a0, a1, a2, a3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
-                    let b0 = &other.data[k * n + j0..k * n + j1];
-                    let b1 = &other.data[(k + 1) * n + j0..(k + 1) * n + j1];
-                    let b2 = &other.data[(k + 2) * n + j0..(k + 2) * n + j1];
-                    let b3 = &other.data[(k + 3) * n + j0..(k + 3) * n + j1];
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        let mut s = *o;
-                        s += a0 * v0;
-                        s += a1 * v1;
-                        s += a2 * v2;
-                        s += a3 * v3;
-                        *o = s;
-                    }
-                    k += 4;
-                }
-                while k < kk {
-                    let a = arow[k];
-                    let brow = &other.data[k * n + j0..k * n + j1];
-                    for (o, &b) in orow.iter_mut().zip(brow) {
-                        *o += a * b;
-                    }
-                    k += 1;
-                }
-            }
-            j0 = j1;
-        }
+        let lhs = RowMajor { a: &self.data, kk: self.cols };
+        product(lhs, &other.data, self.rows, other.cols, &mut out.data, &store);
     }
 
     /// Reference `self @ other`: the textbook triple loop, kept as the
-    /// ground truth the blocked kernel is property-tested against.
+    /// ground truth the tiled kernel is property-tested against.
     ///
     /// # Panics
     ///
@@ -228,56 +209,20 @@ impl Matrix {
 
     /// [`Matrix::transposed_matmul`] into a caller-owned buffer.
     ///
-    /// This is the backward-pass kernel (`deltaᵀ @ input` for `dW`); like
-    /// [`Matrix::matmul_into`] it is branch-free with a vectorizable inner
-    /// loop and an `r`-unroll of four whose contributions are added
-    /// sequentially, so each output accumulates its `r` terms in ascending
-    /// order.
+    /// This is the backward-pass kernel (`deltaᵀ @ input` for `dW`). It
+    /// reads `self` in place as the transposed left operand of the same
+    /// register-tiled kernel as [`Matrix::matmul_into`], so each output
+    /// accumulates its `r` terms in ascending order and equals the naive
+    /// triple loop bit for bit.
     ///
     /// # Panics
     ///
     /// Panics unless `self.rows == other.rows`.
     pub fn transposed_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "transposed_matmul needs matching row counts");
-        let n = other.cols;
-        let m = self.cols;
-        out.reshape(m, n);
-        out.data.iter_mut().for_each(|v| *v = 0.0);
-        let mut r = 0;
-        while r + 4 <= self.rows {
-            let b0 = &other.data[r * n..(r + 1) * n];
-            let b1 = &other.data[(r + 1) * n..(r + 2) * n];
-            let b2 = &other.data[(r + 2) * n..(r + 3) * n];
-            let b3 = &other.data[(r + 3) * n..(r + 4) * n];
-            for i in 0..m {
-                let a0 = self.data[r * m + i];
-                let a1 = self.data[(r + 1) * m + i];
-                let a2 = self.data[(r + 2) * m + i];
-                let a3 = self.data[(r + 3) * m + i];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    let mut s = *o;
-                    s += a0 * v0;
-                    s += a1 * v1;
-                    s += a2 * v2;
-                    s += a3 * v3;
-                    *o = s;
-                }
-            }
-            r += 4;
-        }
-        while r < self.rows {
-            let arow = &self.data[r * m..(r + 1) * m];
-            let brow = &other.data[r * n..(r + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-            r += 1;
-        }
+        out.reshape(self.cols, other.cols);
+        let lhs = ColMajor { a: &self.data, m: self.cols };
+        product(lhs, &other.data, self.cols, other.cols, &mut out.data, &|_, v| v);
     }
 
     /// Returns the transpose.
@@ -287,9 +232,10 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::transpose`] into a caller-owned buffer — lets the batched
-    /// forward pass re-lay the weights once per call and run the product
-    /// through the fast [`Matrix::matmul_into`] kernel without allocating.
+    /// [`Matrix::transpose`] into a caller-owned buffer — how the batched
+    /// forward pass re-lays each layer's `out × in` weights as `in × out`
+    /// (once per optimizer step in training) so the product runs through
+    /// [`Matrix::matmul_into`] without allocating.
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.reshape(self.cols, self.rows);
         for i in 0..self.rows {
@@ -372,6 +318,147 @@ impl Matrix {
             out.data[i * out.cols + self.cols..(i + 1) * out.cols].copy_from_slice(other.row(i));
         }
         out
+    }
+}
+
+/// Rows of an output tile.
+const TILE_ROWS: usize = 4;
+/// Columns of the widest output tile; narrower column tails use 4 and 1.
+const TILE_COLS: usize = 8;
+
+/// The left operand `A` (`m × kk`) of a product, as the kernel reads it: a
+/// panel of `R` consecutive rows, one `k` at a time.
+trait Lhs: Copy {
+    /// The accessor of rows `i0..i0 + R`: given `k`, returns
+    /// `[A(i0, k), …, A(i0 + R − 1, k)]`.
+    fn panel<const R: usize>(self, i0: usize) -> impl Fn(usize) -> [f32; R];
+}
+
+/// `A` stored row-major (`m × kk`): the forward `x · Wᵀ` and backward
+/// `delta · W` products.
+#[derive(Clone, Copy)]
+struct RowMajor<'a> {
+    a: &'a [f32],
+    kk: usize,
+}
+
+impl Lhs for RowMajor<'_> {
+    #[inline(always)]
+    fn panel<const R: usize>(self, i0: usize) -> impl Fn(usize) -> [f32; R] {
+        let mut rows = [&self.a[..0]; R];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = &self.a[(i0 + r) * self.kk..][..self.kk];
+        }
+        move |k| {
+            let mut col = [0.0; R];
+            for (v, row) in col.iter_mut().zip(&rows) {
+                *v = row[k];
+            }
+            col
+        }
+    }
+}
+
+/// `A` stored transposed (`kk × m`, so `A(i, k)` sits at `k * m + i`): the
+/// `deltaᵀ · input` product of `dW`.
+#[derive(Clone, Copy)]
+struct ColMajor<'a> {
+    a: &'a [f32],
+    m: usize,
+}
+
+impl Lhs for ColMajor<'_> {
+    #[inline(always)]
+    fn panel<const R: usize>(self, i0: usize) -> impl Fn(usize) -> [f32; R] {
+        move |k| {
+            let col: &[f32; R] =
+                self.a[k * self.m + i0..][..R].try_into().expect("a panel column holds R rows");
+            *col
+        }
+    }
+}
+
+/// One `R × C` output tile at `(i0, j0)`: every element accumulates its
+/// products in registers, over `k` in ascending order from `0.0`, with one
+/// rounded multiply and one rounded add per term — the exact arithmetic of
+/// [`Matrix::matmul_naive`] — and is written once, through `store`.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    lhs: impl Lhs,
+    b: &[f32],
+    n: usize,
+    i0: usize,
+    j0: usize,
+    out: &mut [f32],
+    store: &impl Fn(usize, f32) -> f32,
+) {
+    let a_at = lhs.panel::<R>(i0);
+    let mut acc = [[0.0f32; C]; R];
+    for (k, brow) in b.chunks_exact(n).enumerate() {
+        let av = a_at(k);
+        let bv: &[f32; C] = brow[j0..j0 + C].try_into().expect("a tile row holds C columns");
+        for r in 0..R {
+            for c in 0..C {
+                acc[r][c] += av[r] * bv[c];
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let o = &mut out[(i0 + r) * n + j0..][..C];
+        for (c, (o, &v)) in o.iter_mut().zip(row).enumerate() {
+            *o = store(j0 + c, v);
+        }
+    }
+}
+
+/// The tiles of output rows `i0..i0 + R`: 8-wide, then one 4-wide, then
+/// single columns.
+#[inline(always)]
+fn row_panel<const R: usize>(
+    lhs: impl Lhs,
+    b: &[f32],
+    n: usize,
+    i0: usize,
+    out: &mut [f32],
+    store: &impl Fn(usize, f32) -> f32,
+) {
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        tile::<R, TILE_COLS>(lhs, b, n, i0, j, out, store);
+        j += TILE_COLS;
+    }
+    if j + 4 <= n {
+        tile::<R, 4>(lhs, b, n, i0, j, out, store);
+        j += 4;
+    }
+    while j < n {
+        tile::<R, 1>(lhs, b, n, i0, j, out, store);
+        j += 1;
+    }
+}
+
+/// `out[i][j] = store(j, Σₖ A(i, k) · B(k, j))` for an `m × kk` left
+/// operand and a row-major `kk × n` right operand `b`: the one body behind
+/// every product.
+fn product(
+    lhs: impl Lhs,
+    b: &[f32],
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+    store: &impl Fn(usize, f32) -> f32,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let mut i = 0;
+    while i + TILE_ROWS <= m {
+        row_panel::<TILE_ROWS>(lhs, b, n, i, out, store);
+        i += TILE_ROWS;
+    }
+    while i < m {
+        row_panel::<1>(lhs, b, n, i, out, store);
+        i += 1;
     }
 }
 
@@ -515,7 +602,7 @@ mod more_tests {
 
     #[test]
     fn blocked_kernels_match_naive_references() {
-        // Shapes straddling the 4-deep k-unroll and the 64-wide cache block.
+        // Shapes straddling the 4-row and 8/4/1-column tiles.
         let mut state = 0x1234_5678u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -530,6 +617,71 @@ mod more_tests {
                 a.transpose().matmul_naive(&a),
                 "transposed_matmul {m}x{k}"
             );
+        }
+    }
+
+    /// The tiled kernel, for both operand layouts and with and without a
+    /// fused store, equals the triple loop bit for bit on every shape
+    /// around the tile edges.
+    #[test]
+    fn tiled_kernel_matches_the_triple_loop() {
+        let mut state = 0x9E37_79B9u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            match (state >> 60) as u8 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((state >> 33) as f32) / (u32::MAX / 2) as f32 - 1.0,
+            }
+        };
+        let bias: Vec<f32> = (0..17).map(|_| next()).collect();
+        let relu = |j: usize, v: f32| (v + bias[j]).max(0.0);
+        let id = |_: usize, v: f32| v;
+        for m in 0..10usize {
+            for kk in [0usize, 1, 2, 3, 7, 8, 9] {
+                for n in 0..18usize {
+                    let a: Vec<f32> = (0..m * kk).map(|_| next()).collect();
+                    let b: Vec<f32> = (0..kk * n).map(|_| next()).collect();
+                    let reference =
+                        |at: &dyn Fn(usize, usize) -> f32, store: &dyn Fn(usize, f32) -> f32| {
+                            let mut out = Vec::with_capacity(m * n);
+                            for i in 0..m {
+                                for j in 0..n {
+                                    let mut acc = 0.0f32;
+                                    for k in 0..kk {
+                                        acc += at(i, k) * b[k * n + j];
+                                    }
+                                    out.push(store(j, acc).to_bits());
+                                }
+                            }
+                            out
+                        };
+                    let tiled = |lhs: &dyn Fn(&mut [f32])| {
+                        let mut out = vec![f32::NAN; m * n];
+                        lhs(&mut out);
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    let row_major = RowMajor { a: &a, kk };
+                    // The same buffer read as a `kk × m` operand, transposed.
+                    let col_major = ColMajor { a: &a, m };
+                    let shape = format!("{m}x{kk}x{n}");
+                    assert_eq!(
+                        tiled(&|o| product(row_major, &b, m, n, o, &id)),
+                        reference(&|i, k| a[i * kk + k], &id),
+                        "row-major {shape}"
+                    );
+                    assert_eq!(
+                        tiled(&|o| product(col_major, &b, m, n, o, &id)),
+                        reference(&|i, k| a[k * m + i], &id),
+                        "transposed {shape}"
+                    );
+                    assert_eq!(
+                        tiled(&|o| product(row_major, &b, m, n, o, &relu)),
+                        reference(&|i, k| a[i * kk + k], &relu),
+                        "fused store {shape}"
+                    );
+                }
+            }
         }
     }
 

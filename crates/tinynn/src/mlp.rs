@@ -16,12 +16,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, m: &mut Matrix) {
-        if self == Activation::Relu {
-            m.map_inplace(|v| v.max(0.0));
-        }
-    }
-
     /// d(activation)/d(pre-activation), given the *post*-activation value.
     fn grad_from_output(self, out: f32) -> f32 {
         match self {
@@ -76,25 +70,26 @@ impl Dense {
     }
 
     /// Forward pass over a batch (rows are samples) into a caller-owned
-    /// output: `w` is re-laid as `in × out` into the `wt` scratch and the
-    /// product runs through the row-streaming [`Matrix::matmul_into`]
-    /// kernel, which accumulates each output over `k` in ascending order.
-    /// This is the one batched kernel behind [`Mlp::forward_cached`]; the
-    /// transpose cost is amortized over the whole minibatch.
-    pub fn forward_transposed_into(&self, x: &Matrix, wt: &mut Matrix, out: &mut Matrix) {
-        self.w.transpose_into(wt);
-        x.matmul_into(wt, out);
-        self.finish_affine(out);
-    }
-
-    fn finish_affine(&self, out: &mut Matrix) {
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            for (v, b) in row.iter_mut().zip(&self.b) {
-                *v += b;
-            }
+    /// output, given this layer's weights already transposed into `wt`
+    /// (`in × out`, as [`Matrix::transpose_into`] lays them). The product runs
+    /// through the register-tiled [`Matrix::matmul_into`] kernel with the
+    /// bias add and the activation folded into the tile store, the same
+    /// arithmetic as adding and activating the finished product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wt` is not `in × out` or `x` is not `in` wide.
+    pub fn forward_transposed_into(&self, x: &Matrix, wt: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            (wt.rows(), wt.cols()),
+            (self.input_size(), self.output_size()),
+            "wt must hold this layer's transposed weights"
+        );
+        let b = &self.b[..];
+        match self.activation {
+            Activation::Relu => x.matmul_map_into(wt, out, |j, v| (v + b[j]).max(0.0)),
+            Activation::Identity => x.matmul_map_into(wt, out, |j, v| v + b[j]),
         }
-        self.activation.apply(out);
     }
 
     /// Dense FLOPs for one inference: a multiply and an add per weight.
@@ -180,16 +175,16 @@ pub struct ForwardCache {
     /// `activations[0]` is the input; `activations[i+1]` is layer `i`'s
     /// output.
     pub activations: Vec<Matrix>,
-    /// Scratch for the current layer's transposed weights (`in × out`),
-    /// re-laid per layer so the batched product runs through the fast
-    /// [`Matrix::matmul_into`] kernel.
-    pub(crate) wt: Matrix,
+    /// Every layer's transposed weights (`in × out`), re-laid by
+    /// [`Mlp::forward_cached`] on each call. The training loops keep one
+    /// shared copy per optimizer step instead (`Mlp::forward_transposed`).
+    pub(crate) wt: Vec<Matrix>,
 }
 
 impl ForwardCache {
     /// An empty cache; buffers are created on first use.
     pub fn empty() -> ForwardCache {
-        ForwardCache { activations: Vec::new(), wt: Matrix::zeros(0, 0) }
+        ForwardCache { activations: Vec::new(), wt: Vec::new() }
     }
 
     /// Mutable access to the input slot (`activations[0]`), creating it if
@@ -331,19 +326,50 @@ impl Mlp {
 
     /// Runs the layers on whatever the caller placed in
     /// [`ForwardCache::input_mut`] — the zero-copy variant of
-    /// [`Mlp::forward_into`] used by the training loop, which gathers each
-    /// minibatch directly into the cache's input slot.
+    /// [`Mlp::forward_into`]. Re-lays every layer's weights into the
+    /// cache first; the training loops, which run many passes between
+    /// weight updates, transpose once per update instead.
     ///
     /// # Panics
     ///
     /// Panics if the cache input is missing or has the wrong width.
     pub fn forward_cached(&self, cache: &mut ForwardCache) {
-        assert!(!cache.activations.is_empty(), "fill ForwardCache::input_mut first");
-        assert_eq!(cache.activations[0].cols(), self.input_size(), "input width mismatch");
-        cache.activations.resize(self.layers.len() + 1, Matrix::zeros(0, 0));
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (before, after) = cache.activations.split_at_mut(l + 1);
-            layer.forward_transposed_into(&before[l], &mut cache.wt, &mut after[0]);
+        let ForwardCache { activations, wt } = cache;
+        self.transpose_weights_into(wt);
+        self.forward_layers(wt, activations);
+    }
+
+    /// [`Mlp::forward_cached`] with every layer's weights already
+    /// transposed into `wt` by [`Mlp::transpose_weights_into`] — the
+    /// training loops' shard and validation forward, which share one
+    /// transposed copy per optimizer step. Bit-identical to
+    /// [`Mlp::forward_cached`] as long as `wt` is current.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache input is missing or has the wrong width, or if
+    /// `wt` does not hold one `in × out` matrix per layer.
+    pub(crate) fn forward_transposed(&self, wt: &[Matrix], cache: &mut ForwardCache) {
+        self.forward_layers(wt, &mut cache.activations);
+    }
+
+    /// Writes every layer's `Wᵀ` (`in × out`) into `wt`, reusing its
+    /// buffers: the weight layout [`Mlp::forward_transposed`] reads.
+    pub(crate) fn transpose_weights_into(&self, wt: &mut Vec<Matrix>) {
+        wt.resize(self.layers.len(), Matrix::zeros(0, 0));
+        for (layer, t) in self.layers.iter().zip(wt.iter_mut()) {
+            layer.w.transpose_into(t);
+        }
+    }
+
+    fn forward_layers(&self, wt: &[Matrix], activations: &mut Vec<Matrix>) {
+        assert!(!activations.is_empty(), "fill ForwardCache::input_mut first");
+        assert_eq!(activations[0].cols(), self.input_size(), "input width mismatch");
+        assert_eq!(wt.len(), self.layers.len(), "one transposed weight matrix per layer");
+        activations.resize(self.layers.len() + 1, Matrix::zeros(0, 0));
+        for (l, (layer, t)) in self.layers.iter().zip(wt).enumerate() {
+            let (before, after) = activations.split_at_mut(l + 1);
+            layer.forward_transposed_into(&before[l], t, &mut after[0]);
         }
     }
 
@@ -421,12 +447,8 @@ impl Mlp {
         for (l, layer) in self.layers.iter().enumerate().rev() {
             // delta currently holds dL/d(output of layer l), post-activation.
             let out = &cache.activations[l + 1];
-            for i in 0..delta.rows() {
-                let drow = delta.row_mut(i);
-                let orow = out.row(i);
-                for (d, &o) in drow.iter_mut().zip(orow) {
-                    *d *= layer.activation.grad_from_output(o);
-                }
+            for (d, &o) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                *d *= layer.activation.grad_from_output(o);
             }
             let input = &cache.activations[l];
             let (dw, db) = &mut grads.layers[l];
@@ -437,17 +459,15 @@ impl Mlp {
             }
             db.clear();
             db.resize(layer.output_size(), 0.0);
-            match normalizer {
-                Some(batch) => {
-                    for i in 0..delta.rows() {
-                        for (b, &d) in db.iter_mut().zip(delta.row(i)) {
+            for drow in delta.as_slice().chunks_exact(layer.output_size()) {
+                match normalizer {
+                    Some(batch) => {
+                        for (b, &d) in db.iter_mut().zip(drow) {
                             *b += d / batch;
                         }
                     }
-                }
-                None => {
-                    for i in 0..delta.rows() {
-                        for (b, &d) in db.iter_mut().zip(delta.row(i)) {
+                    None => {
+                        for (b, &d) in db.iter_mut().zip(drow) {
                             *b += d;
                         }
                     }

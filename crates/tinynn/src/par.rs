@@ -15,6 +15,8 @@
 //! Workers spin briefly on the generation counter before sleeping on a
 //! condvar, so the wake latency between two back-to-back batches (separated
 //! only by an optimizer step) is a few loads, not a scheduler round-trip.
+//! A team with more threads than the host has cores never spins: there a
+//! spinning worker would hold the core a working thread needs.
 //!
 //! Determinism is not this module's concern — shard *scheduling* is free to
 //! vary run to run. Callers guarantee byte-identical results by deriving
@@ -68,6 +70,9 @@ struct Inner {
     generation: AtomicU64,
     /// Mirror of `state.shutdown`, likewise.
     shutdown: AtomicBool,
+    /// Iterations a waiting worker spins before sleeping: [`SPIN_ITERS`],
+    /// or 0 when the team outnumbers the host's cores.
+    spin_iters: u32,
     /// Claim word: the current generation (truncated) in the high 32 bits,
     /// the next unclaimed shard index in the low 32. Tagging claims with
     /// the generation makes a stale worker — one that grabbed generation
@@ -94,6 +99,16 @@ pub fn effective_jobs(requested: usize) -> usize {
     }
 }
 
+/// How long a worker of a `jobs`-thread team spins before sleeping on a
+/// host with `cores` cores: [`SPIN_ITERS`] if the team fits, else never.
+fn spin_iters(jobs: usize, cores: usize) -> u32 {
+    if jobs <= cores {
+        SPIN_ITERS
+    } else {
+        0
+    }
+}
+
 /// A persistent thread team (see the module docs). `jobs = 1` is the serial
 /// mode: no threads are spawned and [`Pool::run`] executes every shard
 /// inline, which is also the code path the determinism proptests compare
@@ -113,9 +128,11 @@ impl std::fmt::Debug for Pool {
 impl Pool {
     /// A team of `jobs` workers ([`effective_jobs`]: `0` = one per core).
     /// The calling thread participates in every run, so `jobs - 1` threads
-    /// are spawned.
+    /// are spawned. Workers spin before sleeping only if the team fits the
+    /// host's cores (`available_parallelism`).
     pub fn new(jobs: usize) -> Pool {
         let jobs = effective_jobs(jobs);
+        let spin_iters = if jobs > 1 { spin_iters(jobs, effective_jobs(0)) } else { 0 };
         let inner = Arc::new(Inner {
             state: Mutex::new(TeamState {
                 generation: 0,
@@ -129,6 +146,7 @@ impl Pool {
             done: Condvar::new(),
             generation: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            spin_iters,
             next: AtomicU64::new(0),
         });
         let workers = (1..jobs)
@@ -332,7 +350,7 @@ fn worker_loop(inner: &Inner) {
             if inner.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            if inner.generation.load(Ordering::Acquire) != seen || spins >= SPIN_ITERS {
+            if inner.generation.load(Ordering::Acquire) != seen || spins >= inner.spin_iters {
                 break;
             }
             spins += 1;
@@ -428,6 +446,25 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn only_a_team_that_fits_the_host_spins() {
+        assert_eq!(spin_iters(2, 2), SPIN_ITERS);
+        assert_eq!(spin_iters(1, 8), SPIN_ITERS);
+        assert_eq!(spin_iters(3, 2), 0);
+        assert_eq!(spin_iters(8, 1), 0);
+        // An oversubscribed team still runs every shard, sleeping between
+        // generations instead of spinning.
+        let pool = Pool::new(effective_jobs(0) + 1);
+        assert_eq!(pool.inner.spin_iters, 0);
+        let total = AtomicU32::new(0);
+        for _ in 0..50 {
+            pool.run(8, &|_| {
+                total.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(total.load(Ordering::Relaxed), 400);
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //! each output row only from its own input row (ascending-`k`
 //! accumulation), the gathered validation output is bit-identical to a
 //! monolithic forward pass.
+//!
+//! # One weight layout per optimizer step
+//!
+//! The forward product reads each layer's weights transposed (`in × out`).
+//! Weights change only in the optimizer step, so [`TrainScratch`] holds one
+//! transposed copy of the whole model, re-laid when a training starts and
+//! after every optimizer step and mask application; every shard forward
+//! and every validation forward until the next step reads it, instead of
+//! each shard re-laying every layer for itself.
 
 use std::time::Instant;
 
@@ -165,6 +174,10 @@ pub struct TrainScratch {
     val_out: Matrix,
     /// Per-shard slot pool; grown to the shard count on first use.
     shards: Vec<ShardScratch>,
+    /// The model's weights transposed (`in × out` per layer), re-laid once
+    /// after every optimizer step (and mask application) and read by every
+    /// shard forward and validation forward until the next step.
+    wt: Vec<Matrix>,
 }
 
 impl TrainScratch {
@@ -175,6 +188,7 @@ impl TrainScratch {
             grads: Gradients::empty(),
             val_out: Matrix::zeros(0, 0),
             shards: Vec::new(),
+            wt: Vec::new(),
         }
     }
 }
@@ -244,9 +258,11 @@ fn reduce_shards(shards: &[ShardScratch], grads: &mut Gradients, rows: usize) {
 
 /// Sharded forward pass over `x` with the outputs gathered back into `out`
 /// in row order. Bit-identical to a monolithic forward: each output row is
-/// computed only from its own input row.
+/// computed only from its own input row. `wt` holds the model's current
+/// transposed weights.
 fn forward_gathered(
     mlp: &Mlp,
+    wt: &[Matrix],
     x: &Matrix,
     pool: &Pool,
     shards: &mut Vec<ShardScratch>,
@@ -265,7 +281,7 @@ fn forward_gathered(
             let input = slot.cache.input_mut();
             input.reshape(hi - lo, x.cols());
             input.as_mut_slice().copy_from_slice(&x.as_slice()[lo * x.cols()..hi * x.cols()]);
-            mlp.forward_cached(&mut slot.cache);
+            mlp.forward_transposed(wt, &mut slot.cache);
         });
     }
     for (s, slot) in shards[..s_count].iter().enumerate() {
@@ -282,8 +298,10 @@ fn forward_gathered(
 /// reduction into `grads`, mean batch loss returned. Batch-level
 /// statistics (the mean class weight) are hoisted out of the shards so the
 /// partition never changes them.
+#[allow(clippy::too_many_arguments)]
 fn classifier_batch_step(
     mlp: &Mlp,
+    wt: &[Matrix],
     train: &ClassificationData,
     batch: &[usize],
     class_weights: Option<&[f32]>,
@@ -305,7 +323,7 @@ fn classifier_batch_step(
             train.x.select_rows_into(idx, slot.cache.input_mut());
             slot.y_cls.clear();
             slot.y_cls.extend(idx.iter().map(|&i| train.y[i]));
-            mlp.forward_cached(&mut slot.cache);
+            mlp.forward_transposed(wt, &mut slot.cache);
             let ShardScratch { cache, delta, delta_tmp, grads, y_cls, loss, .. } = slot;
             *loss = match weighted {
                 Some((w, mean_w)) => {
@@ -324,6 +342,7 @@ fn classifier_batch_step(
 /// The regressor twin of [`classifier_batch_step`].
 fn regressor_batch_step(
     mlp: &Mlp,
+    wt: &[Matrix],
     train: &RegressionData,
     batch: &[usize],
     pool: &Pool,
@@ -342,7 +361,7 @@ fn regressor_batch_step(
             train.x.select_rows_into(idx, slot.cache.input_mut());
             slot.y_reg.clear();
             slot.y_reg.extend(idx.iter().map(|&i| train.y[i]));
-            mlp.forward_cached(&mut slot.cache);
+            mlp.forward_transposed(wt, &mut slot.cache);
             let ShardScratch { cache, delta, delta_tmp, grads, y_reg, loss, .. } = slot;
             *loss = mse_shard_into(cache.output(), y_reg, delta);
             mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
@@ -351,6 +370,24 @@ fn regressor_batch_step(
     reduce_shards(&shards[..s_count], grads, rows);
     let loss_sum: f64 = shards[..s_count].iter().map(|s| s.loss).sum();
     (loss_sum / rows as f64) as f32
+}
+
+/// Applies the reduced batch gradient, re-imposes the sparsity mask, and
+/// re-lays the updated weights into `wt` — the one place the training
+/// loops change weights, so the transposed copy every shard reads is never
+/// stale.
+fn apply_step(
+    mlp: &mut Mlp,
+    opt: &mut Adam,
+    grads: &Gradients,
+    mask: Option<&ZeroMask>,
+    wt: &mut Vec<Matrix>,
+) {
+    opt.step(mlp, grads);
+    if let Some(mask) = mask {
+        mask.apply(mlp);
+    }
+    mlp.transpose_weights_into(wt);
 }
 
 /// Trains `mlp` as a softmax classifier, early-stopping on validation
@@ -441,7 +478,7 @@ pub fn train_classifier_parallel_with(
             .map(|&c| (n / (train.num_classes as f32 * c.max(1) as f32)).clamp(0.25, 8.0))
             .collect()
     });
-    let TrainScratch { indices, grads, val_out, shards } = scratch;
+    let TrainScratch { indices, grads, val_out, shards, wt } = scratch;
     let chunk = config.batch_size.max(1);
     ensure_slots(shards, grad_shards(chunk.min(train.len())).max(grad_shards(val.len())));
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -449,7 +486,8 @@ pub fn train_classifier_parallel_with(
     // The incoming weights are a candidate too (essential when fine-tuning
     // an already-useful model): training must never return something worse
     // than what it started with.
-    forward_gathered(mlp, &val.x, pool, shards, val_out);
+    mlp.transpose_weights_into(wt);
+    forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
     let mut report = TrainReport {
         train_loss: Vec::with_capacity(config.epochs),
         val_metric: Vec::with_capacity(config.epochs),
@@ -470,6 +508,7 @@ pub fn train_classifier_parallel_with(
             let t0 = Instant::now();
             let loss = classifier_batch_step(
                 mlp,
+                wt,
                 train,
                 batch,
                 class_weights.as_deref(),
@@ -477,10 +516,7 @@ pub fn train_classifier_parallel_with(
                 shards,
                 grads,
             );
-            opt.step(mlp, grads);
-            if let Some(mask) = mask {
-                mask.apply(mlp);
-            }
+            apply_step(mlp, &mut opt, grads, mask, wt);
             epoch_loss += loss as f64;
             obs::counter!("train.grad_shards").inc(grad_shards(batch.len()) as u64);
             if pool.jobs() > 1 {
@@ -489,7 +525,7 @@ pub fn train_classifier_parallel_with(
             obs::histogram!("train.batch_latency_us").record(t0.elapsed().as_secs_f64() * 1e6);
         }
         report.train_loss.push((epoch_loss / num_batches as f64) as f32);
-        forward_gathered(mlp, &val.x, pool, shards, val_out);
+        forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
         let acc = accuracy(val_out, &val.y);
         report.val_metric.push(acc);
         obs::counter!("train.epochs").inc(1);
@@ -576,13 +612,14 @@ pub fn train_regressor_parallel_with(
     let _scope = obs::scope!("train.regressor", "{} rows", train.len());
     obs::counter!("train.grad_shards").inc(0);
     obs::counter!("train.parallel_batches").inc(0);
-    let TrainScratch { indices, grads, val_out, shards } = scratch;
+    let TrainScratch { indices, grads, val_out, shards, wt } = scratch;
     let chunk = config.batch_size.max(1);
     ensure_slots(shards, grad_shards(chunk.min(train.len())).max(grad_shards(val.len())));
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut opt = Adam::new(config.lr);
     // As in the classifier: the incoming weights are the first candidate.
-    forward_gathered(mlp, &val.x, pool, shards, val_out);
+    mlp.transpose_weights_into(wt);
+    forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
     let mut report = TrainReport {
         train_loss: Vec::with_capacity(config.epochs),
         val_metric: Vec::with_capacity(config.epochs),
@@ -598,11 +635,8 @@ pub fn train_regressor_parallel_with(
         let num_batches = train.len().div_ceil(chunk);
         for batch in indices.chunks(chunk) {
             let t0 = Instant::now();
-            let loss = regressor_batch_step(mlp, train, batch, pool, shards, grads);
-            opt.step(mlp, grads);
-            if let Some(mask) = mask {
-                mask.apply(mlp);
-            }
+            let loss = regressor_batch_step(mlp, wt, train, batch, pool, shards, grads);
+            apply_step(mlp, &mut opt, grads, mask, wt);
             epoch_loss += loss as f64;
             obs::counter!("train.grad_shards").inc(grad_shards(batch.len()) as u64);
             if pool.jobs() > 1 {
@@ -611,7 +645,7 @@ pub fn train_regressor_parallel_with(
             obs::histogram!("train.batch_latency_us").record(t0.elapsed().as_secs_f64() * 1e6);
         }
         report.train_loss.push((epoch_loss / num_batches as f64) as f32);
-        forward_gathered(mlp, &val.x, pool, shards, val_out);
+        forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
         let m = mape(val_out, &val.y);
         report.val_metric.push(m);
         obs::counter!("train.epochs").inc(1);
@@ -744,6 +778,33 @@ mod tests {
         let first = report.train_loss[0];
         let last = *report.train_loss.last().unwrap();
         assert!(last < first * 0.5, "loss should at least halve: {first} -> {last}");
+    }
+
+    #[test]
+    fn shared_transposes_track_every_masked_step() {
+        // A pruned model fine-tuned under its ZeroMask: after every
+        // optimizer step the transposed copy the shards read must equal the
+        // weights as masked, or later batches would train a different model.
+        let data = toy_classification(90, 41);
+        let mut rng = StdRng::seed_from_u64(42);
+        let (train, _) = data.split(0.25, &mut rng);
+        let mut mlp = Mlp::new(&[2, 12, 12, 3], &mut rng);
+        crate::prune::prune_magnitude(&mut mlp, 0.5);
+        let mask = ZeroMask::from_zeros(&mlp);
+        let pool = Pool::new(2);
+        let TrainScratch { grads, shards, wt, .. } = &mut TrainScratch::new();
+        ensure_slots(shards, grad_shards(16));
+        let mut opt = Adam::new(0.05);
+        mlp.transpose_weights_into(wt);
+        let order: Vec<usize> = (0..train.len()).collect();
+        for (step, batch) in order.chunks(16).cycle().take(12).enumerate() {
+            classifier_batch_step(&mlp, wt, &train, batch, None, &pool, shards, grads);
+            apply_step(&mut mlp, &mut opt, grads, Some(&mask), wt);
+            assert_eq!(mlp.nonzero_weights(), mask.nonzero_count(), "step {step}");
+            for (l, (layer, t)) in mlp.layers().iter().zip(wt.iter()).enumerate() {
+                assert_eq!(t, &layer.w.transpose(), "layer {l} stale after step {step}");
+            }
+        }
     }
 
     #[test]

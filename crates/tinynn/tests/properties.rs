@@ -22,6 +22,42 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(rows, cols, data)
 }
 
+/// [`random_matrix`] with about one entry in eight an exact `0.0` or
+/// `-0.0`, so a kernel that skipped or reordered zero terms would show.
+fn random_matrix_with_zeros(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+    use rand::Rng;
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|_| match rng.gen_range(0u32..16) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-10.0..10.0),
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The reference product: `out[i][j] = Σₖ a(i, k) · b[k][j]`, accumulated
+/// in one `f32` over `k` in ascending order from `0.0`, with `a(i, k)`
+/// read through `at` so the same loop checks `A · B` and `Aᵀ · B`.
+fn triple_loop(m: usize, kk: usize, b: &Matrix, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let n = b.cols();
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for k in 0..kk {
+                acc += at(i, k) * b.as_slice()[k * n + j];
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     /// Softmax is a probability distribution for any finite logits.
     #[test]
@@ -160,5 +196,44 @@ proptest! {
         for r in 0..x.rows() {
             prop_assert_eq!(mlp.forward_one(x.row(r)), batch.row(r), "row {}", r);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both products equal the triple loop bit for bit (`f32::to_bits`, so
+    /// signed zeros count) on random shapes: row counts that leave a tail
+    /// below the 4-row tile, column counts that leave 4-wide and 1-wide
+    /// tails below the 8-wide tile, and inner dimensions of 0 and 1.
+    #[test]
+    fn products_match_the_triple_loop_bit_for_bit(
+        m in 0usize..14,
+        k in 0usize..12,
+        n in 0usize..27,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random_matrix_with_zeros(m, k, &mut rng);
+        let b = random_matrix_with_zeros(k, n, &mut rng);
+        let product = a.matmul(&b);
+        prop_assert_eq!((product.rows(), product.cols()), (m, n));
+        let expected = triple_loop(m, k, &b, |i, kk| a[(i, kk)]);
+        prop_assert_eq!(bits(product.as_slice()), bits(&expected), "matmul {}x{}x{}", m, k, n);
+
+        // `aᵀ · c` for a `k × m` operand `a`: the dW product.
+        let c = random_matrix_with_zeros(k, n, &mut rng);
+        let at = random_matrix_with_zeros(k, m, &mut rng);
+        let product = at.transposed_matmul(&c);
+        prop_assert_eq!((product.rows(), product.cols()), (m, n));
+        let expected = triple_loop(m, k, &c, |i, kk| at[(kk, i)]);
+        prop_assert_eq!(
+            bits(product.as_slice()),
+            bits(&expected),
+            "transposed_matmul {}x{}x{}",
+            m,
+            k,
+            n
+        );
     }
 }
