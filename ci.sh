@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, full test suite, perf
-# baseline smokes, CLI smokes and short runs of the benchmark's four
-# workloads. Run from the repo root; every step must pass. See README.md
-# ("Install & build").
+# Local CI gate: formatting, lints, rustdoc, release build, full test suite,
+# criterion benches compiled, CLI smokes, an SLO check of a run's metrics and
+# short runs of the benchmark's four workloads. Speed is measured by the
+# criterion benches and bench_e2e, not here. Run from the repo root; every
+# step must pass. See README.md ("Install & build").
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,54 +28,6 @@ cargo test --workspace -q
 
 echo "==> criterion benches compile"
 cargo bench --workspace --no-run
-
-echo "==> perf baseline (smoke)"
-cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke
-
-echo "==> train/RFE perf baseline (smoke, JSON well-formed, parallel SGD identical)"
-cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --train
-python3 - <<'EOF'
-import json
-b = json.load(open("target/ssmdvfs-artifacts/BENCH_train.json"))
-for key in ("epochs_per_sec", "parallel_epochs_per_sec", "train_speedup",
-            "rfe_serial_secs", "rfe_parallel_secs"):
-    assert b[key] > 0, (key, b)
-assert b["smoke"] is True, b
-assert b["parallel_identical"] is True, "parallel SGD diverged from serial"
-assert b["grad_shards_per_batch"] > 1, b
-# The >=1.3x speedup gate only means something when the container actually
-# has cores to parallelize over (see the 1-core caveat in
-# docs/performance.md).
-if b["workers"] >= 4:
-    assert b["train_speedup"] >= 1.3, \
-        f"parallel SGD must be >=1.3x at {b['train_jobs']} jobs: {b}"
-print(f"train baseline: {b['epochs_per_sec']:.0f} epochs/s serial, "
-      f"{b['parallel_epochs_per_sec']:.0f} at {b['train_jobs']} jobs "
-      f"({b['train_speedup']:.2f}x, {b['grad_shards_per_batch']} shards/batch, "
-      f"identical), RFE {b['rfe_serial_secs']:.2f}s -> "
-      f"{b['rfe_parallel_secs']:.2f}s at {b['rfe_jobs']} workers")
-EOF
-
-echo "==> decide perf baseline (smoke, plan beats reference oracle, decisions identical)"
-cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --decide
-python3 - <<'EOF'
-import json
-b = json.load(open("target/ssmdvfs-artifacts/BENCH_decide.json"))
-for key in ("kernel_int8_ns",
-            "reference_decision_ns", "plan_decision_ns", "plan_quantized_ns",
-            "plan_memo_hit_ns", "memo_hit_rate"):
-    assert b[key] > 0, (key, b)
-assert b["smoke"] is True, b
-assert b["decisions_identical"] is True, "plan/memo/reference decisions diverged"
-assert b["plan_decision_ns"] < b["reference_decision_ns"], \
-    f"fused plan must beat the allocating reference oracle: {b}"
-assert b["plan_memo_hit_ns"] < b["plan_decision_ns"], b
-assert b["memo_hits"] > 0, "phase-structured replay produced no memo hits"
-print(f"decide baseline: int8 kernel {b['kernel_int8_ns']:.0f} ns; "
-      f"decision {b['reference_decision_ns']:.0f} ns reference -> "
-      f"{b['plan_decision_ns']:.0f} ns plan, {b['plan_memo_hit_ns']:.0f} ns "
-      f"memo hit ({b['memo_hit_rate']*100:.1f}% hit rate, identical)")
-EOF
 
 echo "==> no stray print macros in library crates"
 # Library code logs through obs; println!/eprintln! are reserved for the
@@ -129,6 +82,17 @@ echo "journal lines at kill: $(wc -l < "$OBS_TMP/ck.jsonl")"
   --resume "$OBS_TMP/ck.jsonl"
 cmp "$OBS_TMP/ref.json" "$OBS_TMP/resumed.json"
 echo "resumed dataset identical to uninterrupted run"
+# A journal from another sweep (here --scale 0.05) matches none of this
+# sweep's content keys: resuming from it recomputes every replay and still
+# reproduces the reference bytes.
+"$SSMDVFS_BIN" datagen --out "$OBS_TMP/small.json" \
+  --benchmarks sgemm,lbm --scale 0.05 --clusters 2 --jobs 2 --log-level warn \
+  --checkpoint "$OBS_TMP/ck-small.jsonl"
+"$SSMDVFS_BIN" datagen --out "$OBS_TMP/rescaled.json" \
+  --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn \
+  --resume "$OBS_TMP/ck-small.jsonl"
+cmp "$OBS_TMP/ref.json" "$OBS_TMP/rescaled.json"
+echo "a scale-0.05 journal resumed at scale 0.1 reproduces the reference"
 
 echo "==> replay-cache determinism smoke (warm rerun hits cache, bytes identical)"
 # Cold run populates the cache; the warm rerun (different worker count on
@@ -332,12 +296,9 @@ assert not bad, bad[:3]
 print(f"trace/profile join: {len(events)} events, phases {sorted(names)}")
 EOF
 
-echo "==> SLO gate (passes on the current trajectory)"
-"$SSMDVFS_BIN" slo-check --baseline docs/perf \
-  --current target/ssmdvfs-artifacts \
-  --metrics "$OBS_TMP/cache-warm-metrics.json" \
+echo "==> SLO gate (the warm replay-cache run's metrics pass the checked-in rules)"
+"$SSMDVFS_BIN" slo-check --metrics "$OBS_TMP/cache-warm-metrics.json" \
   --slo docs/perf/slo.toml
-"$SSMDVFS_BIN" slo-check --baseline docs/perf --slo docs/perf/slo.toml
 
 echo "==> SLO gate (tightened rules must fail with the named rule)"
 # A cache hit ratio above 1.0 is unsatisfiable by construction, so the
@@ -350,8 +311,7 @@ numerator = "sim.cache_hits"
 denominator = "sim.cache_hits, sim.cache_misses"
 min = 1.01
 EOF
-if "$SSMDVFS_BIN" slo-check --baseline docs/perf \
-    --metrics "$OBS_TMP/cache-warm-metrics.json" \
+if "$SSMDVFS_BIN" slo-check --metrics "$OBS_TMP/cache-warm-metrics.json" \
     --slo "$OBS_TMP/slo-tight.toml" > "$OBS_TMP/slo-tight.log" 2>&1; then
   echo "error: tightened SLO policy unexpectedly passed" >&2
   cat "$OBS_TMP/slo-tight.log" >&2

@@ -2,6 +2,10 @@
 //! the shared compute pool, and the cost of a cheap `SimSnapshot` vs a full
 //! `Simulation` clone (the per-breakpoint checkpoint the replays are
 //! restored from) and of restoring a replay from the snapshot.
+//!
+//! These groups time one benchmark's sweep; bench_e2e's paper-pipeline
+//! workload times the whole suite's (`datagen.s`). That the worker count
+//! changes no sample is `tests/parallel_datagen.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::{GpuConfig, Simulation, Time};

@@ -1,5 +1,4 @@
-//! Single-decision latency of the compiled fast path — the criterion
-//! counterpart of `perf_baseline --decide`.
+//! Single-decision latency of the compiled fast path.
 //!
 //! Compares the reference oracle (allocating `CombinedModel` methods)
 //! against the fused [`DecisionPlan`] in its exact-f32, quantized-INT8, and
@@ -8,6 +7,11 @@
 //! Section V-D argument that one inference fits comfortably inside a 10 µs
 //! epoch. The microsecond-scale epoch budget leaves roughly 1 µs for the
 //! whole control step; every variant here must sit far inside that.
+//!
+//! These groups time the decision in isolation; bench_e2e's decide-replay
+//! workload times it end to end. That the plan decides exactly like the
+//! oracle is `tests/plan_equivalence.rs`, and that a warm decision
+//! allocates nothing is `crates/core/tests/alloc_free_decisions.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CounterId, EpochCounters, GpuConfig};

@@ -1,5 +1,10 @@
 //! Offline-pipeline cost: one training epoch, serial and on the shard
 //! pool. Data-generation throughput is timed by `datagen_throughput`.
+//!
+//! These groups time one epoch of the decision head; bench_e2e's
+//! paper-pipeline workload times training, RFE and compression end to end
+//! (`train.s`, `rfe.share`, `compress.s`). That the worker count changes no
+//! trained model is `tests/train_parallel.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CounterId, EpochCounters};

@@ -92,6 +92,7 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
     // then keep journaling to it while this run sweeps.
     let ckpt_path = artifacts_dir().join(format!("dataset_{tag}.ckpt.jsonl"));
     let mut options = SuiteOptions::new(config.jobs);
+    let mut resumed = false;
     if ckpt_path.exists() {
         match checkpoint::load(&ckpt_path) {
             Ok(entries) => {
@@ -101,13 +102,20 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
                     ckpt_path.display()
                 );
                 options.completed = checkpoint::completed_jobs(entries);
+                resumed = true;
             }
-            Err(e) => obs::warn!("pipeline: ignoring unusable checkpoint: {e}"),
+            Err(e) => obs::warn!("pipeline: replacing unusable checkpoint: {e}"),
         }
     }
-    options.journal = CheckpointJournal::append_to(&ckpt_path)
-        .map_err(|e| obs::warn!("pipeline: datagen runs unjournaled: {e}"))
-        .ok();
+    // An unusable journal is replaced, not appended to: new lines after a
+    // corrupt or older-format one would be unreadable too.
+    let journal = if resumed {
+        CheckpointJournal::append_to(&ckpt_path)
+    } else {
+        CheckpointJournal::create(&ckpt_path)
+    };
+    options.journal =
+        journal.map_err(|e| obs::warn!("pipeline: datagen runs unjournaled: {e}")).ok();
     // Cross-run replay cache: experiment binaries sharing (config, datagen,
     // workload) replays — ablation/granularity reruns, refreshed sweeps —
     // skip already-simulated (breakpoint, operating point) jobs.

@@ -166,6 +166,11 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Every option and flag name given, without the leading `--`.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// A required string option.
     ///
     /// # Errors

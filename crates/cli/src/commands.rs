@@ -7,7 +7,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
 use std::time::Duration;
 
 use dvfs_baselines::{
@@ -22,8 +21,8 @@ use ssmdvfs::checkpoint::CheckpointJournal;
 use ssmdvfs::exec::FaultPolicy;
 use ssmdvfs::serve::{DecisionService, ServeConfig};
 use ssmdvfs::{
-    compress_and_finetune_prepared, estimate_asic, evaluate, generate_suite_with,
-    select_features_with, train_prepared, AsicConfig, CombinedModel, DataGenConfig, DvfsDataset,
+    compress_and_finetune_prepared, estimate_asic, generate_suite_with, select_features_with,
+    train_prepared, try_evaluate, AsicConfig, CombinedModel, DataGenConfig, DvfsDataset,
     FeatureSet, FinetuneSplits, ModelArch, PreparedSplits, RfeOptions, SsmdvfsConfig, SsmdvfsError,
     SsmdvfsGovernor, SuiteOptions,
 };
@@ -119,6 +118,7 @@ COMMANDS:
               [--model <file>] [--preset 0.10] [--op <idx>]
               [--clusters <n>] [--sms <n>] [--scale <f>] [--trace <out.csv>]
               [--audit-out <out.jsonl>] [--audit-cap 4096]
+              [--horizon-us 20000]
   fleet       --gpus <K>              run K GPUs against one batched
               [--max-batch 32]        decision service (shared inference)
               [--deadline-us <D>]     expired requests get the safe fallback
@@ -129,7 +129,7 @@ COMMANDS:
               [--horizon-us 2000] [--model <file>]
               [--clusters <n>] [--sms <n>]
   datagen     --out <file>            run the Fig. 2 data-generation pipeline
-              [--benchmarks a,b,c] [--scale <f>] [--clusters <n>]
+              [--benchmarks a,b,c] [--scale <f>] [--clusters <n>] [--sms <n>]
               [--jobs <n>]            replay worker threads (0 = one per core)
               [--checkpoint <ck.jsonl>]  journal finished jobs for resume
               [--resume <ck.jsonl>]   skip jobs journaled by a killed run
@@ -144,7 +144,7 @@ COMMANDS:
                                       core); the trained model is
                                       byte-identical at any count
   compress    --model <in> --dataset <file> --out <model.json>
-              [--x1 0.6] [--x2 0.9]
+              [--x1 0.6] [--x2 0.9] [--epochs 80]
               [--jobs <n>]            recovery-SGD workers (0 = one per core);
                                       byte-identical at any count
   evaluate    --model <file> --dataset <file>
@@ -158,9 +158,8 @@ COMMANDS:
   watch       <addr>                  poll a --serve-metrics exporter and
               [--window 20]           show windowed rates instead of totals
               [--count 1] [--interval-ms 1000]
-  slo-check   --baseline <dir>        evaluate SLO rules against the newest
-                                      BENCH_*.json point per series in <dir>
-              [--current <dir>]       freshly measured BENCH_*.json points
+  slo-check                           judge what a run recorded against
+                                      SLO rules
               [--metrics <file.json>] counters for ratio/ceiling rules
               [--audit <file.jsonl>]  decisions for calibration rules
               [--slo <rules.toml>]    rule file (defaults to built-in rules)
@@ -181,6 +180,36 @@ GLOBAL OPTIONS (any command):
 "
     .to_string()
 }
+
+/// The options and flags each subcommand takes, besides
+/// [`GLOBAL_OPTIONS`]. [`dispatch`] rejects any other name before the
+/// command runs, and a unit test keeps these lists and [`usage`] in
+/// agreement.
+#[rustfmt::skip]
+const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
+    ("list-benchmarks", &[]),
+    ("simulate", &["benchmark", "governor", "model", "preset", "op", "clusters", "sms", "scale",
+                   "trace", "audit-out", "audit-cap", "horizon-us"]),
+    ("fleet", &["gpus", "max-batch", "deadline-us", "shards", "queue-depth", "jobs", "benchmark",
+                "scale", "preset", "horizon-us", "model", "clusters", "sms"]),
+    ("datagen", &["out", "benchmarks", "scale", "clusters", "sms", "jobs", "checkpoint", "resume",
+                  "quarantine", "max-retries", "replay-cache"]),
+    ("train", &["dataset", "out", "arch", "epochs", "rfe", "rfe-epochs", "jobs"]),
+    ("compress", &["model", "dataset", "out", "x1", "x2", "epochs", "jobs"]),
+    ("evaluate", &["model", "dataset"]),
+    ("asic", &["model", "freq-mhz"]),
+    ("inspect", &["metrics", "trace", "profile"]),
+    ("watch", &["window", "count", "interval-ms"]),
+    ("slo-check", &["metrics", "audit", "slo", "strict"]),
+    ("help", &[]),
+];
+
+/// The options every subcommand takes (see [`run`]).
+#[rustfmt::skip]
+const GLOBAL_OPTIONS: &[&str] = &[
+    "metrics-out", "trace-out", "serve-metrics", "serve-linger", "profile-out",
+    "profile-collapsed", "log-level",
+];
 
 fn gpu_config(args: &Args) -> Result<GpuConfig, ParseArgsError> {
     let mut cfg = GpuConfig::titan_x();
@@ -569,8 +598,10 @@ pub fn compress(args: &Args) -> CmdResult {
 /// `evaluate`.
 pub fn eval_cmd(args: &Args) -> CmdResult {
     let model = load_model(args.require("model")?)?;
-    let dataset = load_dataset(args.require("dataset")?)?;
-    let (acc, mape) = evaluate(&model, &dataset);
+    let dataset_path = args.require("dataset")?;
+    let dataset = load_dataset(dataset_path)?;
+    let (acc, mape) = try_evaluate(&model, &dataset)
+        .map_err(|e| unusable_dataset("evaluate", dataset_path, e))?;
     Ok(format!(
         "decision accuracy {:.2}%, calibrator MAPE {:.2}% over {} samples ({} sparse FLOPs)\n",
         acc * 100.0,
@@ -821,67 +852,10 @@ pub fn watch(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// Loads every `BENCH_<series>*.json` in `dir`, keeping the newest file
-/// per series (ISO dates in the filename sort lexicographically). Numeric
-/// fields become the [`obs::slo::BenchPoint`]; booleans read 0/1.
-fn load_bench_dir(dir: &str) -> Result<BTreeMap<String, obs::slo::BenchPoint>, ParseArgsError> {
-    let entries = fs::read_dir(dir)
-        .map_err(|e| err_in("slo", format!("cannot read BENCH directory '{dir}': {e}")))?;
-    let mut newest: BTreeMap<String, String> = BTreeMap::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| err_in("slo", format!("cannot list '{dir}': {e}")))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        let series = name.trim_end_matches(".json").split('.').next().unwrap_or(&name).to_string();
-        let slot = newest.entry(series).or_default();
-        if name > *slot {
-            *slot = name;
-        }
-    }
-    let mut points = BTreeMap::new();
-    for (series, file) in newest {
-        let path = Path::new(dir).join(&file);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| err_in("slo", format!("cannot read '{}': {e}", path.display())))?;
-        let value: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| err_in("slo", format!("cannot parse '{}': {e}", path.display())))?;
-        let object = value
-            .as_object()
-            .ok_or_else(|| err_in("slo", format!("'{}' is not a JSON object", path.display())))?;
-        let mut point = obs::slo::BenchPoint::new();
-        for (key, field) in object {
-            match field {
-                serde_json::Value::Number(n) => {
-                    point.insert(key.clone(), n.as_f64());
-                }
-                serde_json::Value::Bool(b) => {
-                    point.insert(key.clone(), f64::from(u8::from(*b)));
-                }
-                _ => {}
-            }
-        }
-        points.insert(series, point);
-    }
-    if points.is_empty() {
-        return Err(err_in("slo", format!("no BENCH_*.json files in '{dir}'")));
-    }
-    Ok(points)
-}
-
-/// `slo-check`: evaluates declarative threshold rules against the perf
-/// trajectory, a metrics snapshot, and an audit trail; prints the report
-/// and fails (nonzero exit) when any rule is violated.
+/// `slo-check`: evaluates declarative threshold rules against a metrics
+/// snapshot and an audit trail; prints the report and fails (nonzero exit)
+/// when any rule is violated.
 pub fn slo_check(args: &Args) -> CmdResult {
-    let baseline = load_bench_dir(args.require("baseline")?)?;
-    let current = match args.get("current") {
-        // Without a fresh measurement the newest checked-in point doubles
-        // as the current one: the gate then validates the trajectory's own
-        // consistency plus the snapshot/audit rules.
-        None => baseline.clone(),
-        Some(dir) => load_bench_dir(dir)?,
-    };
     let metrics = match args.get("metrics") {
         None => None,
         Some(path) => {
@@ -912,7 +886,7 @@ pub fn slo_check(args: &Args) -> CmdResult {
             obs::slo::parse_slo_toml(&text).map_err(|e| err_in("slo", format!("{path}: {e}")))?
         }
     };
-    let inputs = obs::slo::SloInputs { baseline, current, metrics, audit };
+    let inputs = obs::slo::SloInputs { metrics, audit };
     let report = obs::slo::evaluate(&rules, &inputs, args.flag("strict"));
     if report.passed() {
         Ok(format!("{report}\n"))
@@ -927,6 +901,15 @@ pub fn slo_check(args: &Args) -> CmdResult {
 ///
 /// Returns a [`ParseArgsError`] describing any invalid input or I/O failure.
 pub fn dispatch(args: &Args) -> CmdResult {
+    // An unknown option is a mistake, never something to run without: a
+    // misspelled `--epoch 5` would otherwise train with the default.
+    if let Some((command, own)) = COMMAND_OPTIONS.iter().find(|(c, _)| *c == args.command()) {
+        if let Some(name) = args.names().find(|n| !own.contains(n) && !GLOBAL_OPTIONS.contains(n)) {
+            return Err(err(format!(
+                "unknown option '--{name}' for '{command}'; see 'ssmdvfs help'"
+            )));
+        }
+    }
     match args.command() {
         "list-benchmarks" => list_benchmarks(),
         "simulate" => simulate(args),
@@ -1251,18 +1234,26 @@ mod tests {
             (vec!["train", "--dataset", data, "--rfe", "4", "--rfe-epochs", "0"], "--rfe-epochs"),
             (vec!["compress", "--dataset", empty], "no samples"),
             (vec!["compress", "--dataset", one], "calibrator head gets 1 row(s)"),
+            (vec!["evaluate", "--dataset", empty], "no samples"),
+            (vec!["evaluate", "--dataset", one], "MAPE is undefined"),
         ];
         for (argv, expected) in cases {
             let mut argv = argv.clone();
-            argv.extend(["--model", model_path.to_str().unwrap(), "--out", out_arg]);
+            if argv[0] != "train" {
+                argv.extend(["--model", model_path.to_str().unwrap()]);
+            }
+            if argv[0] != "evaluate" {
+                argv.extend(["--out", out_arg]);
+            }
             let args = Args::parse(argv.iter().copied()).unwrap();
-            let e = if argv[0] == "train" { train(&args) } else { compress(&args) }.unwrap_err();
+            let e = dispatch(&args).unwrap_err();
             let text = e.to_string();
             assert!(text.contains(expected), "{argv:?}: {text}");
             if expected.starts_with("--") {
                 assert_eq!(e.kind(), crate::args::ErrorKind::InvalidValue, "{argv:?}: {text}");
             } else {
-                assert!(text.contains(&format!("dataset '{}'", argv[2])), "{argv:?}: {text}");
+                let prefix = format!("[{}] dataset '{}': ", argv[0], argv[2]);
+                assert!(text.starts_with(&prefix), "{argv:?}: {text}");
             }
             assert!(!out.exists(), "{argv:?} wrote its output before rejecting the input");
         }
@@ -1345,6 +1336,66 @@ mod tests {
         assert!(dispatch(&args).unwrap().contains("USAGE"));
         let args = Args::parse(["frobnicate"]).unwrap();
         assert!(dispatch(&args).unwrap_err().to_string().contains("unknown command"));
+    }
+
+    #[test]
+    fn dispatch_rejects_unknown_options_before_running() {
+        let cases: [&[&str]; 5] = [
+            &["slo-check", "--baseline", "x"],
+            &["train", "--dataset", "/nonexistent/d.json", "--out", "m.json", "--epoch", "5"],
+            &["list-benchmarks", "--bogus"],
+            &["list-benchmarks", "--bogus", "3"],
+            // A global option is fine, a subcommand's own option elsewhere
+            // is not.
+            &["evaluate", "--log-level", "warn", "--jobs", "2"],
+        ];
+        for argv in cases {
+            let args = Args::parse(argv.iter().copied()).unwrap();
+            let e = dispatch(&args).unwrap_err();
+            assert_eq!(e.kind(), crate::args::ErrorKind::Usage, "{argv:?}: {e}");
+            let name = argv.iter().rev().find(|a| a.starts_with("--") && **a != "--log-level");
+            let text = e.to_string();
+            assert!(text.contains(&format!("unknown option '{}'", name.unwrap())), "{text}");
+            assert!(text.contains(&format!("for '{}'", argv[0])), "{text}");
+        }
+        let args = Args::parse(["list-benchmarks", "--log-level", "warn"]).unwrap();
+        assert!(dispatch(&args).is_ok());
+    }
+
+    /// The `--name` tokens in a block of usage text.
+    fn usage_options(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_option_lists_agree() {
+        let text = usage();
+        let (commands, globals) = text.split_once("GLOBAL OPTIONS").unwrap();
+        let globals_listed: std::collections::BTreeSet<&str> =
+            GLOBAL_OPTIONS.iter().copied().collect();
+        assert_eq!(usage_options(globals), globals_listed);
+        // Each command's block runs from its name at column 2 to the next
+        // one; global options may be mentioned in any description.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in commands.lines().skip_while(|l| *l != "COMMANDS:").skip(1) {
+            match line.strip_prefix("  ") {
+                Some(rest) if !rest.starts_with(' ') => {
+                    let name = rest.split_whitespace().next().unwrap();
+                    blocks.push((name, line.to_string()));
+                }
+                _ => blocks.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let names: Vec<&str> = blocks.iter().map(|(name, _)| *name).collect();
+        let listed: Vec<&str> = COMMAND_OPTIONS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, listed);
+        for ((name, block), (_, own)) in blocks.iter().zip(COMMAND_OPTIONS) {
+            let documented: std::collections::BTreeSet<&str> =
+                usage_options(block).difference(&globals_listed).copied().collect();
+            assert_eq!(documented, own.iter().copied().collect(), "{name}");
+        }
     }
 }
 
@@ -1654,81 +1705,73 @@ mod telemetry_tests {
         }
     }
 
+    /// A `--metrics-out` snapshot with a 0.9 replay-cache hit ratio.
+    fn write_cache_metrics(dir: &std::path::Path) -> String {
+        let mut snap = obs::metrics::MetricsSnapshot::default();
+        snap.counters.insert("sim.cache_hits".into(), 9);
+        snap.counters.insert("sim.cache_misses".into(), 1);
+        let path = dir.join("metrics.json");
+        fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
     #[test]
-    fn slo_check_passes_on_flat_trajectory_and_fails_on_regression() {
-        let base = tmp_dir("slo_base");
-        let cur = tmp_dir("slo_cur");
-        fs::write(base.join("BENCH_train.2026-01-01.json"), r#"{"epochs_per_sec": 100.0}"#)
+    fn slo_check_passes_and_fails_on_a_metrics_snapshot() {
+        let dir = tmp_dir("slo_metrics");
+        let metrics = write_cache_metrics(&dir);
+        let check = |min: f64| {
+            let slo = dir.join(format!("slo-{min}.toml"));
+            fs::write(
+                &slo,
+                format!(
+                    "[[rule]]\nname = \"cache-ratio\"\nkind = \"min_ratio\"\n\
+                     numerator = \"sim.cache_hits\"\n\
+                     denominator = \"sim.cache_hits, sim.cache_misses\"\nmin = {min}\n"
+                ),
+            )
             .unwrap();
-        fs::write(cur.join("BENCH_train.2026-01-02.json"), r#"{"epochs_per_sec": 8.0}"#).unwrap();
-        let slo = base.join("slo.toml");
-        fs::write(
-            &slo,
-            "[[rule]]\nname = \"train-throughput\"\nkind = \"max_regression\"\n\
-             source = \"BENCH_train\"\nkey = \"epochs_per_sec\"\nmax_regression_pct = 50.0\n",
-        )
-        .unwrap();
-        let slo_path = slo.to_str().unwrap().to_string();
-
-        // Baseline doubling as current: no regression by construction.
-        let args =
-            Args::parse(["slo-check", "--baseline", base.to_str().unwrap(), "--slo", &slo_path])
-                .unwrap();
-        let out = slo_check(&args).unwrap();
-        assert!(out.contains("PASS train-throughput"), "{out}");
+            let args = Args::parse([
+                "slo-check",
+                "--metrics",
+                metrics.as_str(),
+                "--slo",
+                slo.to_str().unwrap(),
+            ])
+            .unwrap();
+            slo_check(&args)
+        };
+        let out = check(0.5).unwrap();
+        assert!(out.contains("PASS cache-ratio"), "{out}");
         assert!(out.contains("SLO check passed"), "{out}");
-
-        // A 92% drop blows the 50% budget; the failure names the rule.
-        let args = Args::parse([
-            "slo-check",
-            "--baseline",
-            base.to_str().unwrap(),
-            "--current",
-            cur.to_str().unwrap(),
-            "--slo",
-            &slo_path,
-        ])
-        .unwrap();
-        let e = slo_check(&args).unwrap_err().to_string();
-        assert!(e.contains("FAIL train-throughput"), "{e}");
+        // A 0.9 ratio misses a 0.95 floor; the failure names the rule.
+        let e = check(0.95).unwrap_err().to_string();
+        assert!(e.contains("FAIL cache-ratio"), "{e}");
         assert!(e.contains("SLO check FAILED"), "{e}");
-
-        fs::remove_dir_all(&base).ok();
-        fs::remove_dir_all(&cur).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn slo_check_strict_fails_on_skipped_rules() {
-        let base = tmp_dir("slo_strict");
-        fs::write(base.join("BENCH_train.2026-01-01.json"), r#"{"epochs_per_sec": 100.0}"#)
-            .unwrap();
-        // Default rules include metrics/audit-backed checks we don't feed.
-        let args =
-            Args::parse(["slo-check", "--baseline", base.to_str().unwrap(), "--strict"]).unwrap();
+        let dir = tmp_dir("slo_strict");
+        let metrics = write_cache_metrics(&dir);
+        // The default rules include an audit-backed check we don't feed.
+        let args = Args::parse(["slo-check", "--metrics", metrics.as_str(), "--strict"]).unwrap();
         assert!(slo_check(&args).is_err());
-        let args = Args::parse(["slo-check", "--baseline", base.to_str().unwrap()]).unwrap();
+        let args = Args::parse(["slo-check", "--metrics", metrics.as_str()]).unwrap();
         assert!(slo_check(&args).is_ok());
-        fs::remove_dir_all(&base).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn slo_check_reports_parse_errors_with_line_numbers() {
-        let base = tmp_dir("slo_bad");
-        fs::write(base.join("BENCH_train.2026-01-01.json"), r#"{"epochs_per_sec": 1.0}"#).unwrap();
-        let slo = base.join("bad.toml");
+        let dir = tmp_dir("slo_bad");
+        let slo = dir.join("bad.toml");
         fs::write(&slo, "[[rule]]\nname = \"x\"\nkind = \"nope\"\n").unwrap();
-        let args = Args::parse([
-            "slo-check",
-            "--baseline",
-            base.to_str().unwrap(),
-            "--slo",
-            slo.to_str().unwrap(),
-        ])
-        .unwrap();
+        let args = Args::parse(["slo-check", "--slo", slo.to_str().unwrap()]).unwrap();
         let e = slo_check(&args).unwrap_err().to_string();
         assert!(e.contains("bad.toml"), "{e}");
         assert!(e.contains("line"), "{e}");
-        fs::remove_dir_all(&base).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -10,9 +10,18 @@
 //! mix of journaled and freshly-computed results, a resumed run's output is
 //! byte-identical to an uninterrupted one.
 //!
+//! Each entry is keyed by the job's content key,
+//! [`ReplayCache::key`](crate::ReplayCache::key):
+//! fingerprints of the GPU configuration, the datagen parameters and the
+//! workload, plus the breakpoint and operating point. A journal written by
+//! a sweep of another configuration (another `--scale`, cluster count or
+//! benchmark) therefore matches none of this sweep's jobs, which are
+//! recomputed instead of reused.
+//!
 //! A process killed mid-write leaves at most one truncated final line;
 //! [`load`] tolerates exactly that (the half-written job is redone), while
-//! corruption anywhere earlier is a hard [`SsmdvfsError::Parse`].
+//! corruption anywhere earlier, or a complete line of another shape (a
+//! journal from an older format), is a hard [`SsmdvfsError::Parse`].
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -25,36 +34,23 @@ use serde::{Deserialize, Serialize};
 use crate::datagen::RawSample;
 use crate::error::{Artifact, SsmdvfsError};
 
-/// One completed replay job: its identity within the sweep plus the samples
-/// it produced.
+/// One completed replay job: its content key plus the samples it produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointEntry {
-    /// Benchmark the job belongs to.
-    pub benchmark: String,
-    /// Breakpoint index within the benchmark.
-    pub breakpoint: usize,
-    /// Operating point replayed during the scaling window.
-    pub op_index: usize,
+    /// The job's [`ReplayCache::key`](crate::ReplayCache::key).
+    pub key: String,
     /// The job's samples (in cluster order, possibly empty).
     pub samples: Vec<RawSample>,
 }
 
-impl CheckpointEntry {
-    /// The job identity used to match journal entries against a sweep's
-    /// job list.
-    pub fn key(&self) -> (String, usize, usize) {
-        (self.benchmark.clone(), self.breakpoint, self.op_index)
-    }
-}
-
-/// Completed jobs indexed by (benchmark, breakpoint, op_index). Later
-/// entries for the same job win (they are re-runs of the same deterministic
-/// computation, so the values are identical anyway).
-pub type CompletedJobs = HashMap<(String, usize, usize), Vec<RawSample>>;
+/// Completed jobs indexed by content key. Later entries for the same job
+/// win (they are re-runs of the same deterministic computation, so the
+/// values are identical anyway).
+pub type CompletedJobs = HashMap<String, Vec<RawSample>>;
 
 /// Collapses journal entries into a lookup map.
 pub fn completed_jobs(entries: Vec<CheckpointEntry>) -> CompletedJobs {
-    entries.into_iter().map(|e| (e.key(), e.samples)).collect()
+    entries.into_iter().map(|e| (e.key, e.samples)).collect()
 }
 
 /// An append-only JSONL journal shared by the worker pool. Every append is
@@ -126,9 +122,10 @@ impl CheckpointJournal {
 /// # Errors
 ///
 /// Returns [`SsmdvfsError::Io`] if the journal is unreadable, and
-/// [`SsmdvfsError::Parse`] if any line other than the last is malformed:
-/// that is corruption, not interruption, and resuming from it would
-/// silently drop work.
+/// [`SsmdvfsError::Parse`] if any line other than the last is not JSON, or
+/// any line is JSON but not a [`CheckpointEntry`]: that is corruption or
+/// an older format, not interruption, and resuming from it would silently
+/// drop work.
 pub fn load(path: impl AsRef<Path>) -> Result<Vec<CheckpointEntry>, SsmdvfsError> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path)
@@ -139,8 +136,10 @@ pub fn load(path: impl AsRef<Path>) -> Result<Vec<CheckpointEntry>, SsmdvfsError
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<CheckpointEntry>(line) {
-            Ok(entry) => entries.push(entry),
+        let bad_line =
+            |e| SsmdvfsError::parse(Artifact::Checkpoint, path, format!("line {}: {e}", n + 1));
+        match serde_json::from_str::<serde_json::Value>(line) {
+            Ok(value) => entries.push(serde_json::from_value(value).map_err(bad_line)?),
             Err(_) if n + 1 == lines.len() => {
                 obs::warn!(
                     "checkpoint: discarding truncated final line {} of '{}'",
@@ -148,13 +147,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Vec<CheckpointEntry>, SsmdvfsError
                     path.display()
                 );
             }
-            Err(e) => {
-                return Err(SsmdvfsError::parse(
-                    Artifact::Checkpoint,
-                    path,
-                    format!("line {}: {e}", n + 1),
-                ));
-            }
+            Err(e) => return Err(bad_line(e)),
         }
     }
     obs::counter!("checkpoint.loaded_entries").inc(entries.len() as u64);
@@ -165,13 +158,8 @@ pub fn load(path: impl AsRef<Path>) -> Result<Vec<CheckpointEntry>, SsmdvfsError
 mod tests {
     use super::*;
 
-    fn entry(bench: &str, breakpoint: usize, op: usize) -> CheckpointEntry {
-        CheckpointEntry {
-            benchmark: bench.to_string(),
-            breakpoint,
-            op_index: op,
-            samples: Vec::new(),
-        }
+    fn entry(key: &str) -> CheckpointEntry {
+        CheckpointEntry { key: key.to_string(), samples: Vec::new() }
     }
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -184,12 +172,12 @@ mod tests {
     fn round_trips_entries() {
         let path = temp_path("roundtrip");
         let journal = CheckpointJournal::create(&path).unwrap();
-        journal.append(&entry("sgemm", 0, 3)).unwrap();
-        journal.append(&entry("sgemm", 1, 0)).unwrap();
+        journal.append(&entry("a-b0-op3")).unwrap();
+        journal.append(&entry("a-b1-op0")).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].key(), ("sgemm".to_string(), 0, 3));
-        assert_eq!(loaded[1].key(), ("sgemm".to_string(), 1, 0));
+        assert_eq!(loaded[0].key, "a-b0-op3");
+        assert_eq!(loaded[1].key, "a-b1-op0");
         std::fs::remove_file(&path).ok();
     }
 
@@ -197,11 +185,11 @@ mod tests {
     fn tolerates_a_truncated_final_line_only() {
         let path = temp_path("truncated");
         let journal = CheckpointJournal::create(&path).unwrap();
-        journal.append(&entry("bfs", 0, 0)).unwrap();
+        journal.append(&entry("a-b0-op0")).unwrap();
         drop(journal);
         // Simulate a SIGKILL mid-write: a half-serialized trailing line.
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"benchmark\":\"bfs\",\"breakp");
+        text.push_str("{\"key\":\"a-b0-op1\",\"samp");
         std::fs::write(&path, &text).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "the complete line survives");
@@ -211,17 +199,27 @@ mod tests {
         std::fs::write(&path, corrupt).unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("malformed checkpoint"), "got: {err}");
+
+        // A complete line of the older (benchmark, breakpoint, op_index)
+        // format is an error even as the final line.
+        std::fs::write(
+            &path,
+            "{\"benchmark\":\"bfs\",\"breakpoint\":0,\"op_index\":0,\"samples\":[]}\n",
+        )
+        .unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.to_string().contains("line 1"), "got: {err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn append_to_extends_an_existing_journal() {
         let path = temp_path("append");
-        CheckpointJournal::create(&path).unwrap().append(&entry("nw", 0, 0)).unwrap();
-        CheckpointJournal::append_to(&path).unwrap().append(&entry("nw", 0, 1)).unwrap();
+        CheckpointJournal::create(&path).unwrap().append(&entry("a-b0-op0")).unwrap();
+        CheckpointJournal::append_to(&path).unwrap().append(&entry("a-b0-op1")).unwrap();
         let jobs = completed_jobs(load(&path).unwrap());
         assert_eq!(jobs.len(), 2);
-        assert!(jobs.contains_key(&("nw".to_string(), 0, 1)));
+        assert!(jobs.contains_key("a-b0-op1"));
         std::fs::remove_file(&path).ok();
     }
 

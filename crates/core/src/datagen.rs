@@ -603,7 +603,8 @@ pub struct SuiteOptions {
     /// as it completes, enabling a later `--resume`.
     pub journal: Option<CheckpointJournal>,
     /// Jobs already completed by an interrupted run (loaded from its
-    /// journal); they are skipped and their journaled samples reused.
+    /// journal); a job whose content key is here is skipped and its
+    /// journaled samples reused.
     pub completed: CompletedJobs,
     /// When set, a panicking replay job is quarantined and retried on the
     /// pool instead of aborting the sweep; jobs that exhaust the retry
@@ -639,7 +640,8 @@ pub struct SuiteOutcome {
 /// Phase 1 (reference timelines) is recomputed deterministically even on
 /// resume — it is cheap relative to phase 2 and seeds identical replay
 /// specifications, which is what makes journaled and fresh results
-/// interchangeable. Phase 2 jobs found in `options.completed` are skipped;
+/// interchangeable. Phase 2 jobs whose content key (see
+/// [`ReplayCache::key`]) is in `options.completed` are skipped;
 /// the rest run on the pool, each passing the fail-point site
 /// `"datagen.replay"` (keyed by global job index) on entry and appending to
 /// the journal on exit. Assembly walks the full ordered job list mixing
@@ -674,10 +676,14 @@ pub fn generate_suite_with(
         })
         .collect();
 
-    // Content-addressed cache keys: stable fingerprints of everything a
-    // replay's result depends on. Computed once per sweep (per benchmark
-    // for the workload), not per job.
-    let cache_keys = options.cache.as_ref().map(|_| {
+    // Content keys, shared by the journal, the resumed jobs and the replay
+    // cache: stable fingerprints of everything a replay's result depends
+    // on, so a journal or cache from another configuration matches
+    // nothing. Fingerprinted once per sweep (per benchmark for the
+    // workload), and only when one of the three is present.
+    let keyed =
+        options.journal.is_some() || !options.completed.is_empty() || options.cache.is_some();
+    let job_key = keyed.then(|| {
         let cfg_hash = fingerprint(cfg);
         let dg_hash = fingerprint(dg);
         let wl_hashes: Vec<u64> =
@@ -694,13 +700,12 @@ pub fn generate_suite_with(
     let mut cached: Vec<Option<Vec<RawSample>>> = Vec::with_capacity(job_list.len());
     let mut todo: Vec<(usize, (usize, usize, usize))> = Vec::new();
     for (j, &(b, s, op)) in job_list.iter().enumerate() {
-        let key = (benchmarks[b].name().to_string(), s, op);
-        if let Some(samples) = options.completed.get(&key) {
-            cached.push(Some(samples.clone()));
-            continue;
-        }
-        if let (Some(cache), Some(keys)) = (&options.cache, &cache_keys) {
-            if let Some(samples) = cache.get(&keys(b, s, op)) {
+        if let Some(key) = job_key.as_ref().map(|k| k(b, s, op)) {
+            if let Some(samples) = options.completed.get(&key) {
+                cached.push(Some(samples.clone()));
+                continue;
+            }
+            if let Some(samples) = options.cache.as_ref().and_then(|c| c.get(&key)) {
                 cached.push(Some(samples));
                 continue;
             }
@@ -723,16 +728,12 @@ pub fn generate_suite_with(
     let run_one = |job_index: usize, b: usize, s: usize, op: usize| -> Vec<RawSample> {
         crate::failpoint::hit("datagen.replay", job_index);
         let samples = run_replay(benchmarks[b].name(), cfg, dg, &specs_per_bench[b][s], op);
-        if let (Some(cache), Some(keys)) = (&options.cache, &cache_keys) {
-            cache.insert(keys(b, s, op), samples.clone());
+        let key = job_key.as_ref().map(|k| k(b, s, op));
+        if let (Some(cache), Some(key)) = (&options.cache, &key) {
+            cache.insert(key.clone(), samples.clone());
         }
-        if let Some(journal) = &options.journal {
-            let entry = CheckpointEntry {
-                benchmark: benchmarks[b].name().to_string(),
-                breakpoint: s,
-                op_index: op,
-                samples: samples.clone(),
-            };
+        if let (Some(journal), Some(key)) = (&options.journal, key) {
+            let entry = CheckpointEntry { key, samples: samples.clone() };
             if let Err(e) = journal.append(&entry) {
                 let mut slot =
                     journal_error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

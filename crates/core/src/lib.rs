@@ -95,6 +95,6 @@ pub use serve::{
     ServeStats,
 };
 pub use train::{
-    evaluate, train_combined, train_combined_jobs, train_prepared, PreparedSplits, TrainSummary,
-    INSTR_SCALE,
+    evaluate, train_combined, train_combined_jobs, train_prepared, try_evaluate, PreparedSplits,
+    TrainSummary, INSTR_SCALE,
 };

@@ -280,18 +280,43 @@ pub fn train_combined_jobs(
 /// Re-evaluates an existing model on a dataset (e.g. after pruning),
 /// returning `(decision accuracy, calibrator MAPE%)`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the dataset is empty.
-pub fn evaluate(model: &CombinedModel, dataset: &DvfsDataset) -> (f64, f64) {
-    assert!(!dataset.is_empty(), "cannot evaluate on an empty dataset");
+/// Returns [`SsmdvfsError::Stage`] (stage `evaluate`) if the dataset is
+/// empty, or if every calibrator target is zero (all windows idle), where
+/// MAPE is undefined.
+pub fn try_evaluate(
+    model: &CombinedModel,
+    dataset: &DvfsDataset,
+) -> Result<(f64, f64), SsmdvfsError> {
+    if dataset.is_empty() {
+        return Err(SsmdvfsError::stage("evaluate", "the dataset has no samples"));
+    }
+    let cal_data = dataset.calibrator_data(&model.feature_set, model.num_ops, model.instr_scale);
+    // `mape` skips targets below 1e-6 and needs at least one it can use.
+    if cal_data.y.iter().all(|t| t.abs() < 1e-6) {
+        return Err(SsmdvfsError::stage(
+            "evaluate",
+            format!(
+                "all {} calibrator target(s) are zero (idle windows), so MAPE is undefined",
+                cal_data.y.len()
+            ),
+        ));
+    }
     let dec_data = dataset.decision_data(&model.feature_set, model.num_ops);
     let logits = model.decision_forward_raw(&dec_data.x);
     let acc = accuracy(&logits, &dec_data.y);
-    let cal_data = dataset.calibrator_data(&model.feature_set, model.num_ops, model.instr_scale);
     let outputs = model.calibrator_forward_raw(&cal_data.x);
-    let m = mape(&outputs, &cal_data.y);
-    (acc, m)
+    Ok((acc, mape(&outputs, &cal_data.y)))
+}
+
+/// [`try_evaluate`] for callers that have already checked the dataset.
+///
+/// # Panics
+///
+/// Panics where [`try_evaluate`] returns an error.
+pub fn evaluate(model: &CombinedModel, dataset: &DvfsDataset) -> (f64, f64) {
+    try_evaluate(model, dataset).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

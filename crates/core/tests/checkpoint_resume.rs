@@ -15,6 +15,10 @@ use ssmdvfs::checkpoint::{self, CheckpointJournal};
 use ssmdvfs::{generate_suite_with, DvfsDataset, SuiteOptions};
 
 fn small_suite() -> (Vec<Benchmark>, GpuConfig, ssmdvfs::DataGenConfig) {
+    small_suite_at(0.05)
+}
+
+fn small_suite_at(scale: f64) -> (Vec<Benchmark>, GpuConfig, ssmdvfs::DataGenConfig) {
     let cfg = GpuConfig::small_test();
     let dg = ssmdvfs::DataGenConfig {
         breakpoint_interval_epochs: 5,
@@ -23,9 +27,18 @@ fn small_suite() -> (Vec<Benchmark>, GpuConfig, ssmdvfs::DataGenConfig) {
     };
     let benches: Vec<Benchmark> = ["lbm", "sgemm"]
         .iter()
-        .map(|n| gpu_workloads::by_name(n).expect("suite benchmark").scaled(0.05))
+        .map(|n| gpu_workloads::by_name(n).expect("suite benchmark").scaled(scale))
         .collect();
     (benches, cfg, dg)
+}
+
+/// The merged dataset's serialized bytes.
+fn merged_bytes(datasets: &[DvfsDataset]) -> String {
+    let mut merged = DvfsDataset::default();
+    for part in datasets {
+        merged.samples.extend(part.samples.iter().cloned());
+    }
+    serde_json::to_string(&merged).expect("dataset serializes")
 }
 
 fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -46,11 +59,8 @@ fn run_journaled(path: &std::path::Path, resume: bool) -> (Vec<DvfsDataset>, Str
     }
     let outcome = generate_suite_with(&benches, &cfg, &dg, &options).expect("sweep");
     assert!(outcome.faults.is_empty(), "no fault policy, no faults");
-    let mut merged = DvfsDataset::default();
-    for part in &outcome.datasets {
-        merged.samples.extend(part.samples.iter().cloned());
-    }
-    (outcome.datasets, serde_json::to_string(&merged).expect("dataset serializes"))
+    let bytes = merged_bytes(&outcome.datasets);
+    (outcome.datasets, bytes)
 }
 
 proptest! {
@@ -124,5 +134,32 @@ fn journaled_run_matches_unjournaled_run() {
     // yields identical output.
     let (fully_resumed, _) = run_journaled(&path, true);
     assert_eq!(plain, fully_resumed);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn journal_from_another_scale_is_ignored() {
+    // Job positions line up across scales, content keys do not: a sweep at
+    // scale 0.1 resumed from a scale-0.05 journal must reuse nothing and
+    // still produce the plain scale-0.1 bytes.
+    let path = temp_journal("otherscale");
+    let (_, small) = run_journaled(&path, false);
+    let (benches, cfg, dg) = small_suite_at(0.1);
+    let plain = generate_suite_with(&benches, &cfg, &dg, &SuiteOptions::new(2)).expect("sweep");
+    let plain = merged_bytes(&plain.datasets);
+    assert_ne!(small, plain, "the two scales must differ for reuse to show");
+
+    let mut options = SuiteOptions::new(2);
+    let journaled = checkpoint::load(&path).expect("journal");
+    let journaled_jobs = journaled.len();
+    options.completed = checkpoint::completed_jobs(journaled);
+    options.journal = Some(CheckpointJournal::append_to(&path).expect("journal"));
+    let resumed = generate_suite_with(&benches, &cfg, &dg, &options).expect("sweep");
+    assert_eq!(plain, merged_bytes(&resumed.datasets), "a foreign journal leaked into the sweep");
+    // Every job of the new sweep ran and was journaled after the old ones.
+    let entries = checkpoint::load(&path).expect("journal");
+    let keys: std::collections::HashSet<&str> =
+        entries[journaled_jobs..].iter().map(|e| e.key.as_str()).collect();
+    assert!(entries[..journaled_jobs].iter().all(|e| !keys.contains(e.key.as_str())));
     std::fs::remove_file(&path).ok();
 }

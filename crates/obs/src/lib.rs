@@ -30,7 +30,7 @@
 //!   path, exported as a per-phase table and collapsed-stack
 //!   (flamegraph-compatible) text.
 //! * [`slo`] — declarative SLO rules (`ssmdvfs slo-check`) evaluated
-//!   against perf trajectories, metrics snapshots and audit trails.
+//!   against metrics snapshots and audit trails.
 //!
 //! # Overhead discipline
 //!

@@ -1,43 +1,32 @@
-//! The SLO engine: declarative threshold rules over perf trajectories,
-//! metrics snapshots, and DVFS audit trails.
+//! The SLO engine: declarative threshold rules over metrics snapshots and
+//! DVFS audit trails.
 //!
 //! `ssmdvfs slo-check` evaluates a list of [`SloRule`]s against
-//! [`SloInputs`] assembled by the CLI — the newest checked-in
-//! `docs/perf/BENCH_*.json` point per series (the *baseline*), a freshly
-//! measured point (the *current*), a `--metrics-out` snapshot, and an
+//! [`SloInputs`] assembled by the CLI — a `--metrics-out` snapshot and an
 //! audit JSONL — and renders a pass/fail report. A failing rule names
-//! itself, so CI output reads `FAIL train-throughput: ...`.
+//! itself, so CI output reads `FAIL replay-cache-hit-ratio: ...`. Speed is
+//! not judged here: the criterion benches and `bench_e2e` measure it.
 //!
 //! Rules are written in a small TOML subset ([`parse_slo_toml`]): an
 //! array-of-tables `[[rule]]` per rule with scalar `key = value` pairs
-//! (strings, numbers, booleans, `#` comments). Four kinds exist:
+//! (strings, numbers, booleans, `#` comments). Three kinds exist:
 //!
 //! | `kind`                  | checks                                              |
 //! |-------------------------|-----------------------------------------------------|
-//! | `max_regression`        | current BENCH value vs. newest baseline point       |
 //! | `min_ratio`             | counter ÷ (sum of counters) from a metrics snapshot |
 //! | `max_counter`           | a counter's absolute ceiling                        |
 //! | `max_calibration_error` | mean \|calibration error\| over an audit trail      |
 //!
-//! A rule whose input is absent (no current point, counters all zero, no
-//! audit) is reported `SKIP`, not `FAIL` — the gate constrains what was
-//! measured, and `ssmdvfs slo-check --strict` upgrades skips to failures
-//! when a pipeline must prove it measured everything.
+//! A rule whose input is absent (no snapshot, counters all zero, no audit)
+//! is reported `SKIP`, not `FAIL` — the gate constrains what was measured,
+//! and `ssmdvfs slo-check --strict` upgrades skips to failures when a
+//! pipeline must prove it measured everything.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::audit::AuditRecord;
 use crate::metrics::MetricsSnapshot;
-
-/// Which direction of change counts as a regression for `max_regression`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Larger values are better (throughputs, speedups, hit counts).
-    HigherIsBetter,
-    /// Smaller values are better (latencies, energy, error).
-    LowerIsBetter,
-}
 
 /// One declarative threshold rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,19 +40,6 @@ pub struct SloRule {
 /// The check a rule performs. See the module docs for the TOML spelling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleKind {
-    /// `current[source][key]` must not regress from
-    /// `baseline[source][key]` by more than `max_regression_pct` percent.
-    /// Negative budgets demand improvement.
-    MaxRegression {
-        /// BENCH series name, e.g. `BENCH_train`.
-        source: String,
-        /// Numeric field inside the BENCH point, e.g. `epochs_per_sec`.
-        key: String,
-        /// Allowed regression, percent of the baseline value.
-        max_regression_pct: f64,
-        /// Which direction counts as worse.
-        direction: Direction,
-    },
     /// `numerator / Σ denominator` over snapshot counters must be ≥ `min`.
     MinRatio {
         /// Counter forming the numerator.
@@ -89,17 +65,10 @@ pub enum RuleKind {
     },
 }
 
-/// A flat numeric view of one BENCH point (booleans read 0/1).
-pub type BenchPoint = BTreeMap<String, f64>;
-
 /// Everything a rule set can be evaluated against. Any part may be
 /// absent; rules that need it are skipped.
 #[derive(Debug, Clone, Default)]
 pub struct SloInputs {
-    /// Newest trajectory point per BENCH series (`BENCH_train` → fields).
-    pub baseline: BTreeMap<String, BenchPoint>,
-    /// Freshly measured point per series.
-    pub current: BTreeMap<String, BenchPoint>,
     /// A `--metrics-out` registry snapshot.
     pub metrics: Option<MetricsSnapshot>,
     /// Parsed audit-trail records.
@@ -184,33 +153,6 @@ impl fmt::Display for SloReport {
 
 fn eval_one(rule: &SloRule, inputs: &SloInputs) -> RuleOutcome {
     let (status, detail) = match &rule.kind {
-        RuleKind::MaxRegression { source, key, max_regression_pct, direction } => {
-            let base = inputs.baseline.get(source).and_then(|p| p.get(key));
-            let cur = inputs.current.get(source).and_then(|p| p.get(key));
-            match (base, cur) {
-                (None, _) => (Status::Skip, format!("no baseline point for {source}.{key}")),
-                (_, None) => (Status::Skip, format!("no current point for {source}.{key}")),
-                (Some(&0.0), Some(_)) => (Status::Skip, format!("baseline {source}.{key} is zero")),
-                (Some(&b), Some(&c)) => {
-                    let regression_pct = match direction {
-                        Direction::HigherIsBetter => (b - c) / b * 100.0,
-                        Direction::LowerIsBetter => (c - b) / b * 100.0,
-                    };
-                    let status = if regression_pct <= *max_regression_pct {
-                        Status::Pass
-                    } else {
-                        Status::Fail
-                    };
-                    (
-                        status,
-                        format!(
-                            "{source}.{key} {c:.4} vs baseline {b:.4}: {regression_pct:+.1}% \
-                             regression (budget {max_regression_pct:+.1}%)"
-                        ),
-                    )
-                }
-            }
-        }
         RuleKind::MinRatio { numerator, denominator, min } => match &inputs.metrics {
             None => (Status::Skip, "no metrics snapshot provided".to_string()),
             Some(snap) => {
@@ -269,23 +211,12 @@ pub fn evaluate(rules: &[SloRule], inputs: &SloInputs, strict: bool) -> SloRepor
     SloReport { outcomes: rules.iter().map(|r| eval_one(r, inputs)).collect(), strict }
 }
 
-/// The rules `ssmdvfs slo-check` applies when no `--slo` file is given:
-/// generous regression budgets on the two BENCH throughput series, a
+/// The rules `ssmdvfs slo-check` applies when no `--slo` file is given: a
 /// replay-cache effectiveness floor, a quarantine-drop ceiling, and a
-/// calibration-error ceiling. Budgets are wide because CI containers and
-/// developer machines differ; `docs/perf/slo.toml` is the checked-in,
+/// calibration-error ceiling. `docs/perf/slo.toml` is the checked-in,
 /// tunable version of the same policy.
 pub fn default_rules() -> Vec<SloRule> {
     vec![
-        SloRule {
-            name: "train-throughput".into(),
-            kind: RuleKind::MaxRegression {
-                source: "BENCH_train".into(),
-                key: "epochs_per_sec".into(),
-                max_regression_pct: 90.0,
-                direction: Direction::HigherIsBetter,
-            },
-        },
         SloRule {
             name: "replay-cache-hit-ratio".into(),
             kind: RuleKind::MinRatio {
@@ -406,35 +337,6 @@ fn typed_rule(raw: &RawRule) -> Result<SloRule, SloParseError> {
     let name = field_str("name")?;
     let kind = field_str("kind")?;
     let kind = match kind.as_str() {
-        "max_regression" => {
-            let direction = match raw.fields.get("direction") {
-                None => Direction::HigherIsBetter,
-                Some((TomlVal::Str(s), line)) => match s.as_str() {
-                    "higher_is_better" => Direction::HigherIsBetter,
-                    "lower_is_better" => Direction::LowerIsBetter,
-                    other => {
-                        return Err(SloParseError {
-                            line: *line,
-                            message: format!(
-                                "'direction' must be higher_is_better or lower_is_better, got '{other}'"
-                            ),
-                        })
-                    }
-                },
-                Some((v, line)) => {
-                    return Err(SloParseError {
-                        line: *line,
-                        message: format!("'direction' must be a string, got {}", v.type_name()),
-                    })
-                }
-            };
-            RuleKind::MaxRegression {
-                source: field_str("source")?,
-                key: field_str("key")?,
-                max_regression_pct: field_num("max_regression_pct")?,
-                direction,
-            }
-        }
         "min_ratio" => RuleKind::MinRatio {
             numerator: field_str("numerator")?,
             denominator: field_str("denominator")?
@@ -453,7 +355,7 @@ fn typed_rule(raw: &RawRule) -> Result<SloRule, SloParseError> {
                 line: raw.line,
                 message: format!(
                     "unknown rule kind '{other}' \
-                     (max_regression|min_ratio|max_counter|max_calibration_error)"
+                     (min_ratio|max_counter|max_calibration_error)"
                 ),
             })
         }
@@ -517,63 +419,6 @@ pub fn parse_slo_toml(text: &str) -> Result<Vec<SloRule>, SloParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bench(fields: &[(&str, f64)]) -> BenchPoint {
-        fields.iter().map(|&(k, v)| (k.to_string(), v)).collect()
-    }
-
-    fn regression_rule(budget: f64) -> SloRule {
-        SloRule {
-            name: "thru".into(),
-            kind: RuleKind::MaxRegression {
-                source: "BENCH_train".into(),
-                key: "epochs_per_sec".into(),
-                max_regression_pct: budget,
-                direction: Direction::HigherIsBetter,
-            },
-        }
-    }
-
-    #[test]
-    fn regression_within_and_over_budget() {
-        let mut inputs = SloInputs::default();
-        inputs.baseline.insert("BENCH_train".into(), bench(&[("epochs_per_sec", 100.0)]));
-        inputs.current.insert("BENCH_train".into(), bench(&[("epochs_per_sec", 80.0)]));
-        let report = evaluate(&[regression_rule(25.0)], &inputs, false);
-        assert!(report.passed(), "{report}");
-        let report = evaluate(&[regression_rule(10.0)], &inputs, false);
-        assert!(!report.passed());
-        assert_eq!(report.violations(), vec!["thru"]);
-        assert!(report.to_string().contains("FAIL thru"), "{report}");
-    }
-
-    #[test]
-    fn negative_budget_demands_improvement() {
-        let mut inputs = SloInputs::default();
-        inputs.baseline.insert("BENCH_train".into(), bench(&[("epochs_per_sec", 100.0)]));
-        inputs.current.insert("BENCH_train".into(), bench(&[("epochs_per_sec", 105.0)]));
-        assert!(evaluate(&[regression_rule(-4.0)], &inputs, false).passed());
-        assert!(!evaluate(&[regression_rule(-10.0)], &inputs, false).passed());
-    }
-
-    #[test]
-    fn lower_is_better_flips_the_sign() {
-        let rule = SloRule {
-            name: "latency".into(),
-            kind: RuleKind::MaxRegression {
-                source: "BENCH_train".into(),
-                key: "infer_dense_ns".into(),
-                max_regression_pct: 20.0,
-                direction: Direction::LowerIsBetter,
-            },
-        };
-        let mut inputs = SloInputs::default();
-        inputs.baseline.insert("BENCH_train".into(), bench(&[("infer_dense_ns", 100.0)]));
-        inputs.current.insert("BENCH_train".into(), bench(&[("infer_dense_ns", 110.0)]));
-        assert!(evaluate(std::slice::from_ref(&rule), &inputs, false).passed());
-        inputs.current.insert("BENCH_train".into(), bench(&[("infer_dense_ns", 130.0)]));
-        assert!(!evaluate(std::slice::from_ref(&rule), &inputs, false).passed());
-    }
 
     #[test]
     fn missing_inputs_skip_and_strict_mode_fails_them() {
@@ -657,14 +502,7 @@ mod tests {
         let text = r##"
 # SSMDVFS SLO policy.
 [[rule]]
-name = "train-throughput"   # trailing comment
-kind = "max_regression"
-source = "BENCH_train"
-key = "epochs_per_sec"
-max_regression_pct = 90.0
-
-[[rule]]
-name = "cache"
+name = "cache"   # trailing comment
 kind = "min_ratio"
 numerator = "sim.cache_hits"
 denominator = "sim.cache_hits, sim.cache_misses"
@@ -682,10 +520,10 @@ kind = "max_calibration_error"
 max_abs = 0.5
 "##;
         let rules = parse_slo_toml(text).unwrap();
-        assert_eq!(rules.len(), 4);
-        assert_eq!(rules[0].name, "train-throughput");
+        assert_eq!(rules.len(), 3);
+        assert_eq!(rules[0].name, "cache");
         assert_eq!(
-            rules[1].kind,
+            rules[0].kind,
             RuleKind::MinRatio {
                 numerator: "sim.cache_hits".into(),
                 denominator: vec!["sim.cache_hits".into(), "sim.cache_misses".into()],
@@ -693,9 +531,10 @@ max_abs = 0.5
             }
         );
         assert_eq!(
-            rules[2].kind,
+            rules[1].kind,
             RuleKind::MaxCounter { counter: "exec.quarantine_dropped".into(), max: 0.0 }
         );
+        assert_eq!(rules[2].kind, RuleKind::MaxCalibrationError { max_abs: 0.5 });
     }
 
     #[test]
@@ -706,6 +545,10 @@ max_abs = 0.5
 
         let e = parse_slo_toml("[[rule]]\nname = \"x\"\nkind = \"nope\"\n").unwrap_err();
         assert!(e.to_string().contains("unknown rule kind"), "{e}");
+
+        // Throughput is judged by the benchmarks, not by a rule kind.
+        let e = parse_slo_toml("[[rule]]\nname = \"x\"\nkind = \"max_regression\"\n").unwrap_err();
+        assert!(e.to_string().contains("unknown rule kind 'max_regression'"), "{e}");
 
         let e = parse_slo_toml("[[rule]]\nname = \"x\"\nkind = \"max_counter\"\n").unwrap_err();
         assert!(e.to_string().contains("missing required key 'counter'"), "{e}");
