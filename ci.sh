@@ -60,39 +60,51 @@ EOF
 
 SSMDVFS_BIN=target/release/ssmdvfs
 
-echo "==> kill-and-resume smoke (resumed dataset is byte-identical)"
-# Reference: one uninterrupted run. Then the same sweep journaled, killed
-# with SIGKILL mid-flight, and resumed from the journal; the resumed
-# dataset must match the reference byte for byte. If the journaled run
-# happens to finish before the kill lands, resume still has to reproduce
-# the identical bytes, so the step is robust to timing.
-"$SSMDVFS_BIN" datagen --out "$OBS_TMP/ref.json" \
-  --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn
-: > "$OBS_TMP/ck.jsonl"
-"$SSMDVFS_BIN" datagen --out "$OBS_TMP/killed.json" \
-  --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn \
-  --checkpoint "$OBS_TMP/ck.jsonl" &
+echo "==> kill-and-resume smoke (a killed sweep rerun on its replay store is byte-identical)"
+# Reference: one uninterrupted run over the training set (a few seconds on
+# 2 vCPUs). Then the same sweep on a replay store, killed with SIGKILL as
+# soon as the store holds a replay, and rerun on the same store. The kill
+# must land mid-sweep (no dataset written, and the rerun stores more
+# replays than the kill left), and the rerun must match the reference
+# byte for byte.
+SWEEP=(--scale 0.25 --clusters 2 --jobs 2 --log-level warn)
+"$SSMDVFS_BIN" datagen --out "$OBS_TMP/ref.json" "${SWEEP[@]}"
+"$SSMDVFS_BIN" datagen --out "$OBS_TMP/killed.json" "${SWEEP[@]}" \
+  --replay-cache "$OBS_TMP/store.jsonl" &
 KILL_PID=$!
-sleep 1
+STORED=0
+for _ in $(seq 1 1000); do
+  [ -f "$OBS_TMP/store.jsonl" ] && STORED=$(wc -l < "$OBS_TMP/store.jsonl")
+  [ "$STORED" -gt 0 ] && break
+  sleep 0.01
+done
 kill -9 "$KILL_PID" 2>/dev/null || true
 wait "$KILL_PID" 2>/dev/null || true
-echo "journal lines at kill: $(wc -l < "$OBS_TMP/ck.jsonl")"
-"$SSMDVFS_BIN" datagen --out "$OBS_TMP/resumed.json" \
-  --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn \
-  --resume "$OBS_TMP/ck.jsonl"
+AT_KILL=$(wc -l < "$OBS_TMP/store.jsonl")
+if [ "$AT_KILL" -eq 0 ] || [ -e "$OBS_TMP/killed.json" ]; then
+  echo "error: the kill did not land mid-sweep ($AT_KILL stored replays)" >&2
+  exit 1
+fi
+"$SSMDVFS_BIN" datagen --out "$OBS_TMP/resumed.json" "${SWEEP[@]}" \
+  --replay-cache "$OBS_TMP/store.jsonl"
+AFTER=$(wc -l < "$OBS_TMP/store.jsonl")
+if [ "$AFTER" -le "$AT_KILL" ]; then
+  echo "error: the rerun stored nothing after the kill ($AT_KILL -> $AFTER)" >&2
+  exit 1
+fi
 cmp "$OBS_TMP/ref.json" "$OBS_TMP/resumed.json"
-echo "resumed dataset identical to uninterrupted run"
-# A journal from another sweep (here --scale 0.05) matches none of this
-# sweep's content keys: resuming from it recomputes every replay and still
-# reproduces the reference bytes.
+echo "killed at $AT_KILL of $AFTER stored replays; rerun identical to uninterrupted run"
+# A store filled by another sweep (here the training set at --scale 0.25)
+# matches none of this sweep's content keys: a sweep at --scale 0.1 on it
+# simulates every replay and reproduces its own plain run.
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/small.json" \
-  --benchmarks sgemm,lbm --scale 0.05 --clusters 2 --jobs 2 --log-level warn \
-  --checkpoint "$OBS_TMP/ck-small.jsonl"
+  --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/rescaled.json" \
   --benchmarks sgemm,lbm --scale 0.1 --clusters 2 --jobs 2 --log-level warn \
-  --resume "$OBS_TMP/ck-small.jsonl"
-cmp "$OBS_TMP/ref.json" "$OBS_TMP/rescaled.json"
-echo "a scale-0.05 journal resumed at scale 0.1 reproduces the reference"
+  --replay-cache "$OBS_TMP/store.jsonl" | tee "$OBS_TMP/rescaled.log"
+grep -q "replay cache: 0 hits" "$OBS_TMP/rescaled.log"
+cmp "$OBS_TMP/small.json" "$OBS_TMP/rescaled.json"
+echo "a store from another scale reuses nothing and changes no byte"
 
 echo "==> replay-cache determinism smoke (warm rerun hits cache, bytes identical)"
 # Cold run populates the cache; the warm rerun (different worker count on
@@ -100,11 +112,11 @@ echo "==> replay-cache determinism smoke (warm rerun hits cache, bytes identical
 # byte-identical dataset output. `inspect --metrics` surfaces the counters.
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/cache-cold.json" \
   --benchmarks sgemm --scale 0.05 --clusters 2 --jobs 2 --log-level warn \
-  --replay-cache "$OBS_TMP/replay-cache.json" \
+  --replay-cache "$OBS_TMP/replay-cache.jsonl" \
   --metrics-out "$OBS_TMP/cache-cold-metrics.json"
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/cache-warm.json" \
   --benchmarks sgemm --scale 0.05 --clusters 2 --jobs 4 --log-level warn \
-  --replay-cache "$OBS_TMP/replay-cache.json" \
+  --replay-cache "$OBS_TMP/replay-cache.jsonl" \
   --metrics-out "$OBS_TMP/cache-warm-metrics.json"
 cmp "$OBS_TMP/cache-cold.json" "$OBS_TMP/cache-warm.json"
 "$SSMDVFS_BIN" inspect --metrics "$OBS_TMP/cache-warm-metrics.json" \
@@ -226,7 +238,7 @@ echo "==> live telemetry smoke (exporter scraped mid-run, watch renders rates)"
 # on (pre-registered, so they appear even at zero).
 "$SSMDVFS_BIN" datagen --out "$OBS_TMP/live.json" \
   --benchmarks sgemm --scale 0.05 --clusters 2 --jobs 2 \
-  --replay-cache "$OBS_TMP/replay-cache.json" \
+  --replay-cache "$OBS_TMP/replay-cache.jsonl" \
   --serve-metrics 127.0.0.1:0 --serve-linger 20 \
   2> "$OBS_TMP/live.stderr" &
 LIVE_PID=$!

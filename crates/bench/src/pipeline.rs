@@ -4,14 +4,13 @@
 //! its output — and the models trained from it — are cached as JSON under
 //! [`artifacts_dir`]. Experiment binaries share one pipeline invocation; a
 //! stale cache can be cleared by deleting the directory or setting
-//! `SSMDVFS_REFRESH=1`.
+//! `SSMDVFS_REFRESH=1`, which also re-simulates every replay.
 
 use std::fs;
 use std::path::PathBuf;
 
 use gpu_sim::GpuConfig;
 use gpu_workloads::{training_set, Benchmark};
-use ssmdvfs::checkpoint::{self, CheckpointJournal};
 use ssmdvfs::{
     generate_suite_with, train_combined, CombinedModel, DataGenConfig, DvfsDataset, FeatureSet,
     ModelArch, ReplayCache, SuiteOptions, TrainSummary,
@@ -62,20 +61,22 @@ fn refresh_requested() -> bool {
 /// Generates (or loads from cache) the training dataset over the paper's
 /// training benchmarks.
 ///
-/// Data generation journals each finished replay job to
-/// `dataset_<tag>.ckpt.jsonl` next to the cache file; if a previous run was
-/// killed mid-sweep, the next invocation resumes from that journal instead
-/// of starting over (the output is byte-identical either way). The journal
-/// is removed once the dataset cache is written.
+/// Data generation stores each finished replay in `replay_cache.jsonl`,
+/// shared by every experiment binary: a rerun, or the next invocation
+/// after a run killed mid-sweep, reuses the stored replays instead of
+/// simulating them again (the output is byte-identical either way). An
+/// unreadable store is replaced, and `SSMDVFS_REFRESH=1` removes it first,
+/// so a refresh re-simulates every replay.
 ///
 /// # Panics
 ///
-/// Panics if data generation produces no samples or the cache is
-/// unreadable/unwritable.
+/// Panics if data generation produces no samples or the caches are
+/// unwritable.
 pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset {
     let _scope = obs::scope!("bench.dataset", "{tag}");
     let path = artifacts_dir().join(format!("dataset_{tag}.json"));
-    if !refresh_requested() {
+    let refresh = refresh_requested();
+    if !refresh {
         if let Ok(data) = DvfsDataset::load(&path) {
             obs::info!(
                 "pipeline: loaded cached dataset ({} samples) from {}",
@@ -88,39 +89,22 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
     let benches: Vec<Benchmark> =
         training_set().into_iter().map(|b| b.scaled(config.scale)).collect();
     let t0 = std::time::Instant::now();
-    // Auto-checkpoint: reuse a leftover journal from an interrupted run,
-    // then keep journaling to it while this run sweeps.
-    let ckpt_path = artifacts_dir().join(format!("dataset_{tag}.ckpt.jsonl"));
-    let mut options = SuiteOptions::new(config.jobs);
-    let mut resumed = false;
-    if ckpt_path.exists() {
-        match checkpoint::load(&ckpt_path) {
-            Ok(entries) => {
-                obs::info!(
-                    "pipeline: resuming datagen from {} journaled jobs in {}",
-                    entries.len(),
-                    ckpt_path.display()
-                );
-                options.completed = checkpoint::completed_jobs(entries);
-                resumed = true;
-            }
-            Err(e) => obs::warn!("pipeline: replacing unusable checkpoint: {e}"),
-        }
-    }
-    // An unusable journal is replaced, not appended to: new lines after a
+    // The replay store: experiment binaries sharing (config, datagen,
+    // workload) replays — ablation/granularity reruns, a sweep killed
+    // halfway — skip already-simulated (breakpoint, operating point) jobs.
+    // An unreadable store is replaced, not appended to: lines after a
     // corrupt or older-format one would be unreadable too.
-    let journal = if resumed {
-        CheckpointJournal::append_to(&ckpt_path)
-    } else {
-        CheckpointJournal::create(&ckpt_path)
-    };
-    options.journal =
-        journal.map_err(|e| obs::warn!("pipeline: datagen runs unjournaled: {e}")).ok();
-    // Cross-run replay cache: experiment binaries sharing (config, datagen,
-    // workload) replays — ablation/granularity reruns, refreshed sweeps —
-    // skip already-simulated (breakpoint, operating point) jobs.
-    let cache_path = artifacts_dir().join("replay_cache.json");
-    match ReplayCache::open(&cache_path) {
+    let store_path = artifacts_dir().join("replay_cache.jsonl");
+    if refresh {
+        fs::remove_file(&store_path).ok();
+    }
+    let store = ReplayCache::open(&store_path).or_else(|e| {
+        obs::warn!("pipeline: replacing unreadable replay cache: {e}");
+        fs::remove_file(&store_path).ok();
+        ReplayCache::open(&store_path)
+    });
+    let mut options = SuiteOptions::new(config.jobs);
+    match store {
         Ok(cache) => options.cache = Some(std::sync::Arc::new(cache)),
         Err(e) => obs::warn!("pipeline: datagen runs uncached: {e}"),
     }
@@ -128,11 +112,8 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
     // the shared compute pool; per-benchmark sample order is
     // byte-identical to a sequential run.
     let outcome = generate_suite_with(&benches, &config.gpu, &config.datagen, &options)
-        .expect("checkpoint journal must stay writable");
+        .expect("replay cache must stay writable");
     if let Some(cache) = &options.cache {
-        if let Err(e) = cache.save() {
-            obs::warn!("pipeline: replay cache not persisted: {e}");
-        }
         obs::info!(
             "pipeline: replay cache: {} hits, {} misses, {} entries",
             cache.hits(),
@@ -148,8 +129,6 @@ pub fn build_or_load_dataset(config: &PipelineConfig, tag: &str) -> DvfsDataset 
     obs::info!("pipeline: datagen total: {} samples in {:.1?}", dataset.len(), t0.elapsed());
     assert!(!dataset.is_empty(), "data generation produced no samples");
     dataset.save(&path).expect("dataset cache must be writable");
-    // The dataset cache is durable now; the journal has served its purpose.
-    fs::remove_file(&ckpt_path).ok();
     dataset
 }
 

@@ -17,7 +17,6 @@ use gpu_sim::{
     epoch_trace_csv, DvfsGovernor, GpuConfig, SimResult, Simulation, StaticGovernor, Time,
 };
 use gpu_workloads::{by_name, suite, Benchmark};
-use ssmdvfs::checkpoint::CheckpointJournal;
 use ssmdvfs::exec::FaultPolicy;
 use ssmdvfs::serve::{DecisionService, ServeConfig};
 use ssmdvfs::{
@@ -131,10 +130,10 @@ COMMANDS:
   datagen     --out <file>            run the Fig. 2 data-generation pipeline
               [--benchmarks a,b,c] [--scale <f>] [--clusters <n>] [--sms <n>]
               [--jobs <n>]            replay worker threads (0 = one per core)
-              [--checkpoint <ck.jsonl>]  journal finished jobs for resume
-              [--resume <ck.jsonl>]   skip jobs journaled by a killed run
               [--quarantine] [--max-retries 2]  retry/drop panicking jobs
-              [--replay-cache <cache.json>]  reuse replay results across runs
+              [--replay-cache <cache.jsonl>]  reuse replay results across
+                                      runs; rerunning a killed sweep on
+                                      the same file resumes it
   train       --dataset <file> --out <model.json>
               [--arch full|compressed] [--epochs <n>]
               [--rfe <keep>]          select <keep> indirect features by RFE
@@ -192,8 +191,8 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
                    "trace", "audit-out", "audit-cap", "horizon-us"]),
     ("fleet", &["gpus", "max-batch", "deadline-us", "shards", "queue-depth", "jobs", "benchmark",
                 "scale", "preset", "horizon-us", "model", "clusters", "sms"]),
-    ("datagen", &["out", "benchmarks", "scale", "clusters", "sms", "jobs", "checkpoint", "resume",
-                  "quarantine", "max-retries", "replay-cache"]),
+    ("datagen", &["out", "benchmarks", "scale", "clusters", "sms", "jobs", "quarantine",
+                  "max-retries", "replay-cache"]),
     ("train", &["dataset", "out", "arch", "epochs", "rfe", "rfe-epochs", "jobs"]),
     ("compress", &["model", "dataset", "out", "x1", "x2", "epochs", "jobs"]),
     ("evaluate", &["model", "dataset"]),
@@ -427,34 +426,14 @@ pub fn datagen(args: &Args) -> CmdResult {
     let scaled: Vec<Benchmark> = benches.into_iter().map(|b| b.scaled(factor)).collect();
 
     let mut options = SuiteOptions::new(args.get_usize("jobs", 0)?);
-    // `--resume <journal>` reuses an interrupted run's completed jobs and
-    // keeps journaling to the same file; `--checkpoint <journal>` starts a
-    // fresh journal.
-    match (args.get("resume"), args.get("checkpoint")) {
-        (Some(_), Some(_)) => {
-            return Err(err("--resume already journals; drop --checkpoint"));
-        }
-        (Some(path), None) => {
-            let entries =
-                ssmdvfs::checkpoint::load(path).map_err(|e| err_in("datagen", e.to_string()))?;
-            options.completed = ssmdvfs::checkpoint::completed_jobs(entries);
-            options.journal = Some(
-                CheckpointJournal::append_to(path).map_err(|e| err_in("datagen", e.to_string()))?,
-            );
-        }
-        (None, Some(path)) => {
-            options.journal = Some(
-                CheckpointJournal::create(path).map_err(|e| err_in("datagen", e.to_string()))?,
-            );
-        }
-        (None, None) => {}
-    }
     if args.flag("quarantine") || args.get("max-retries").is_some() {
         options.fault_policy = Some(FaultPolicy { max_retries: args.get_usize("max-retries", 2)? });
     }
     // `--replay-cache <file>` keys each replay's samples by a content hash
-    // of (config, datagen params, workload, breakpoint, operating point):
-    // reruns and overlapping sweeps skip already-simulated replays.
+    // of (config, datagen params, workload, breakpoint, operating point)
+    // and appends them to the file as each replay ends: reruns, overlapping
+    // sweeps and a killed sweep's rerun skip already-simulated replays.
+    // Opening creates the file, so an unusable path fails before the sweep.
     let cache = match args.get("replay-cache") {
         None => None,
         Some(path) => {
@@ -467,8 +446,8 @@ pub fn datagen(args: &Args) -> CmdResult {
 
     // Fan every (benchmark, breakpoint, operating point) replay out over
     // the shared compute pool; the sample order is identical to a
-    // sequential per-benchmark run, and (with a journal) byte-identical
-    // across an interruption.
+    // sequential per-benchmark run, and (with a replay cache)
+    // byte-identical across an interruption.
     let outcome = generate_suite_with(&scaled, &cfg, &dg, &options)
         .map_err(|e| err_in("datagen", e.to_string()))?;
     let mut dataset = DvfsDataset::default();
@@ -480,7 +459,6 @@ pub fn datagen(args: &Args) -> CmdResult {
     dataset.save(out_path).map_err(|e| err_in("datagen", e.to_string()))?;
     let _ = writeln!(out, "total: {} samples -> {out_path}", dataset.len());
     if let Some(cache) = cache {
-        cache.save().map_err(|e| err_in("datagen", e.to_string()))?;
         let _ = writeln!(
             out,
             "replay cache: {} hits, {} misses, {} entries",
@@ -1190,6 +1168,41 @@ mod tests {
     }
 
     #[test]
+    fn datagen_rejects_an_unusable_replay_cache_before_the_sweep() {
+        let dir = std::env::temp_dir().join("ssmdvfs_cli_bad_cache_test");
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("data.json");
+        // The single-document cache format of earlier versions.
+        let old = dir.join("old.json");
+        fs::write(&old, "{\n  \"entries\": {},\n  \"version\": 1\n}").unwrap();
+        for (cache, expected) in [
+            ("/nonexistent/dir/c.json", "failed to write replay cache '/nonexistent/dir/c.json'"),
+            (old.to_str().unwrap(), "line 1"),
+        ] {
+            let args = Args::parse([
+                "datagen",
+                "--out",
+                out.to_str().unwrap(),
+                "--benchmarks",
+                "sgemm",
+                "--scale",
+                "0.05",
+                "--clusters",
+                "2",
+                "--replay-cache",
+                cache,
+            ])
+            .unwrap();
+            let e = dispatch(&args).unwrap_err();
+            assert_eq!(e.stage(), Some("datagen"), "{e}");
+            assert!(e.to_string().contains(expected), "{e}");
+            assert!(!out.exists(), "no dataset may be written: {e}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn train_and_compress_reject_untrainable_inputs() {
         let dir = std::env::temp_dir().join("ssmdvfs_cli_untrainable_test");
         fs::create_dir_all(&dir).unwrap();
@@ -1340,8 +1353,11 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown_options_before_running() {
-        let cases: [&[&str]; 5] = [
+        let cases: [&[&str]; 7] = [
             &["slo-check", "--baseline", "x"],
+            // Resume is a rerun on the same --replay-cache file.
+            &["datagen", "--out", "d.json", "--checkpoint", "ck.jsonl"],
+            &["datagen", "--out", "d.json", "--resume", "ck.jsonl"],
             &["train", "--dataset", "/nonexistent/d.json", "--out", "m.json", "--epoch", "5"],
             &["list-benchmarks", "--bogus"],
             &["list-benchmarks", "--bogus", "3"],
@@ -1562,8 +1578,9 @@ mod trace_tests {
     #[test]
     fn datagen_replay_cache_warms_and_inspect_summarizes_metrics() {
         let dir = std::env::temp_dir().join("ssmdvfs_cli_replay_cache_test");
+        fs::remove_dir_all(&dir).ok();
         fs::create_dir_all(&dir).unwrap();
-        let cache = dir.join("cache.json");
+        let cache = dir.join("cache.jsonl");
         let cold = dir.join("cold.json");
         let warm = dir.join("warm.json");
         let metrics = dir.join("metrics.json");

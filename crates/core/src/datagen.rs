@@ -22,7 +22,6 @@ use gpu_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use tinynn::{ClassificationData, Matrix, RegressionData};
 
-use crate::checkpoint::{CheckpointEntry, CheckpointJournal, CompletedJobs};
 use crate::error::{Artifact, SsmdvfsError};
 use crate::exec::{parallel_map_indexed, parallel_map_quarantine, FaultPolicy, FaultReport};
 use crate::features::FeatureSet;
@@ -578,7 +577,7 @@ pub fn generate_workload_jobs(
 /// benchmark, in input order, each byte-identical to a sequential
 /// [`generate`] run on that benchmark.
 ///
-/// Checkpointing, resume and fault tolerance live on
+/// The replay cache, resume and fault tolerance live on
 /// [`generate_suite_with`]; this wrapper is the plain fail-fast path.
 pub fn generate_suite(
     benchmarks: &[Benchmark],
@@ -588,8 +587,8 @@ pub fn generate_suite(
 ) -> Vec<DvfsDataset> {
     match generate_suite_with(benchmarks, cfg, dg, &SuiteOptions::new(jobs)) {
         Ok(outcome) => outcome.datasets,
-        // Unreachable without a journal (the only fallible option), kept as
-        // a loud failure rather than an `unwrap` in case that changes.
+        // Unreachable without a replay cache (the only fallible option),
+        // kept as a loud failure rather than an `unwrap` in case that changes.
         Err(e) => panic!("{e}"),
     }
 }
@@ -599,27 +598,20 @@ pub fn generate_suite(
 pub struct SuiteOptions {
     /// Worker count (`0` = one per core).
     pub jobs: usize,
-    /// Journal that every finished replay job is appended to (and flushed)
-    /// as it completes, enabling a later `--resume`.
-    pub journal: Option<CheckpointJournal>,
-    /// Jobs already completed by an interrupted run (loaded from its
-    /// journal); a job whose content key is here is skipped and its
-    /// journaled samples reused.
-    pub completed: CompletedJobs,
     /// When set, a panicking replay job is quarantined and retried on the
     /// pool instead of aborting the sweep; jobs that exhaust the retry
     /// budget are dropped and reported in [`SuiteOutcome::faults`].
     pub fault_policy: Option<FaultPolicy>,
-    /// Cross-run replay cache: jobs whose (config, datagen parameters,
-    /// workload, breakpoint, operating point) fingerprint is already cached
-    /// reuse the stored samples instead of simulating; fresh results are
-    /// inserted as they complete. The caller persists the cache with
-    /// [`ReplayCache::save`] after the sweep.
+    /// Replay cache: jobs whose (config, datagen parameters, workload,
+    /// breakpoint, operating point) fingerprint is already stored reuse the
+    /// stored samples instead of simulating; fresh results are inserted
+    /// (and, for a file-backed store, appended to its file) as they
+    /// complete, so a killed sweep rerun on the same store resumes.
     pub cache: Option<std::sync::Arc<ReplayCache>>,
 }
 
 impl SuiteOptions {
-    /// Plain fail-fast options: no checkpointing, no quarantine.
+    /// Plain fail-fast options: no replay cache, no quarantine.
     pub fn new(jobs: usize) -> SuiteOptions {
         SuiteOptions { jobs, ..SuiteOptions::default() }
     }
@@ -635,24 +627,25 @@ pub struct SuiteOutcome {
     pub faults: FaultReport,
 }
 
-/// [`generate_suite`] with checkpointing, resume and fault tolerance.
+/// [`generate_suite`] with a replay cache (and so resume) and fault
+/// tolerance.
 ///
 /// Phase 1 (reference timelines) is recomputed deterministically even on
 /// resume — it is cheap relative to phase 2 and seeds identical replay
-/// specifications, which is what makes journaled and fresh results
+/// specifications, which is what makes stored and fresh results
 /// interchangeable. Phase 2 jobs whose content key (see
-/// [`ReplayCache::key`]) is in `options.completed` are skipped;
-/// the rest run on the pool, each passing the fail-point site
-/// `"datagen.replay"` (keyed by global job index) on entry and appending to
-/// the journal on exit. Assembly walks the full ordered job list mixing
-/// journaled and fresh samples, so the output is byte-identical to an
-/// uninterrupted run regardless of where the previous run died.
+/// [`ReplayCache::key`]) is in `options.cache` are skipped; the rest run
+/// on the pool, each passing the fail-point site `"datagen.replay"` (keyed
+/// by global job index) on entry and inserting into the cache on exit.
+/// Assembly walks the full ordered job list mixing stored and fresh
+/// samples, so the output is byte-identical to an uninterrupted run
+/// regardless of where a previous run on the same store died.
 ///
 /// # Errors
 ///
-/// Returns [`SsmdvfsError::Io`] if a journal append fails. Replay panics
-/// either propagate (no fault policy) or end up in
-/// [`SuiteOutcome::faults`].
+/// Returns [`SsmdvfsError::Io`] if appending to the cache's file fails.
+/// Replay panics either propagate (no fault policy) or end up in
+/// [`SuiteOutcome::faults`]; a dropped job is not stored.
 pub fn generate_suite_with(
     benchmarks: &[Benchmark],
     cfg: &GpuConfig,
@@ -676,67 +669,51 @@ pub fn generate_suite_with(
         })
         .collect();
 
-    // Content keys, shared by the journal, the resumed jobs and the replay
-    // cache: stable fingerprints of everything a replay's result depends
-    // on, so a journal or cache from another configuration matches
-    // nothing. Fingerprinted once per sweep (per benchmark for the
-    // workload), and only when one of the three is present.
-    let keyed =
-        options.journal.is_some() || !options.completed.is_empty() || options.cache.is_some();
-    let job_key = keyed.then(|| {
+    // Content keys: stable fingerprints of everything a replay's result
+    // depends on, so a cache from another configuration matches nothing.
+    // Fingerprinted once per sweep (per benchmark for the workload), and
+    // only when there is a cache.
+    let store = options.cache.as_deref().map(|cache| {
         let cfg_hash = fingerprint(cfg);
         let dg_hash = fingerprint(dg);
         let wl_hashes: Vec<u64> =
             benchmarks.iter().map(|bench| fingerprint(bench.workload())).collect();
-        move |b: usize, s: usize, op: usize| {
+        let key = move |b: usize, s: usize, op: usize| {
             ReplayCache::key(cfg_hash, dg_hash, wl_hashes[b], s, op)
-        }
+        };
+        (cache, key)
     });
 
-    // Split into already-available jobs (journaled by an interrupted run,
-    // or cached by a previous sweep) and work still to do. `todo` keeps
-    // each job's global index so fail points and journal entries stay
-    // deterministic across runs with different resume points.
+    // Split into jobs already stored (by a previous or killed sweep) and
+    // work still to do. `todo` keeps each job's global index so fail points
+    // stay deterministic across runs with different resume points.
     let mut cached: Vec<Option<Vec<RawSample>>> = Vec::with_capacity(job_list.len());
     let mut todo: Vec<(usize, (usize, usize, usize))> = Vec::new();
     for (j, &(b, s, op)) in job_list.iter().enumerate() {
-        if let Some(key) = job_key.as_ref().map(|k| k(b, s, op)) {
-            if let Some(samples) = options.completed.get(&key) {
-                cached.push(Some(samples.clone()));
-                continue;
-            }
-            if let Some(samples) = options.cache.as_ref().and_then(|c| c.get(&key)) {
-                cached.push(Some(samples));
-                continue;
-            }
+        let stored = store.as_ref().and_then(|(cache, key)| cache.get(&key(b, s, op)));
+        if stored.is_none() {
+            todo.push((j, (b, s, op)));
         }
-        cached.push(None);
-        todo.push((j, (b, s, op)));
+        cached.push(stored);
     }
-    if !options.completed.is_empty() || options.cache.is_some() {
+    if store.is_some() {
         obs::info!(
-            "datagen: resume/cache skips {}/{} replay jobs",
+            "datagen: replay cache serves {}/{} replay jobs",
             job_list.len() - todo.len(),
             job_list.len()
         );
     }
-    obs::counter!("datagen.jobs_resumed").inc((job_list.len() - todo.len()) as u64);
 
-    // A journal append failure inside a worker cannot early-return; park
-    // the first one here and surface it after the sweep.
-    let journal_error: std::sync::Mutex<Option<SsmdvfsError>> = std::sync::Mutex::new(None);
+    // A cache append failure inside a worker cannot early-return; park the
+    // first one here and surface it after the sweep.
+    let store_error: std::sync::Mutex<Option<SsmdvfsError>> = std::sync::Mutex::new(None);
     let run_one = |job_index: usize, b: usize, s: usize, op: usize| -> Vec<RawSample> {
         crate::failpoint::hit("datagen.replay", job_index);
         let samples = run_replay(benchmarks[b].name(), cfg, dg, &specs_per_bench[b][s], op);
-        let key = job_key.as_ref().map(|k| k(b, s, op));
-        if let (Some(cache), Some(key)) = (&options.cache, &key) {
-            cache.insert(key.clone(), samples.clone());
-        }
-        if let (Some(journal), Some(key)) = (&options.journal, key) {
-            let entry = CheckpointEntry { key, samples: samples.clone() };
-            if let Err(e) = journal.append(&entry) {
+        if let Some((cache, key)) = &store {
+            if let Err(e) = cache.insert(key(b, s, op), samples.clone()) {
                 let mut slot =
-                    journal_error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    store_error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 slot.get_or_insert(e);
             }
         }
@@ -757,11 +734,11 @@ pub fn generate_suite_with(
             (out.into_iter().map(Some).collect(), FaultReport::default())
         }
     };
-    if let Some(e) = journal_error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+    if let Some(e) = store_error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         return Err(e);
     }
 
-    // Ordered assembly back into per-benchmark datasets, merging journaled
+    // Ordered assembly back into per-benchmark datasets, merging stored
     // results with fresh ones; dropped (faulted) jobs contribute nothing.
     let mut fresh_by_job: Vec<Option<Vec<RawSample>>> = vec![None; job_list.len()];
     for ((j, _), result) in todo.into_iter().zip(fresh) {

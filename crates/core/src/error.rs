@@ -3,10 +3,10 @@
 //! Library crates in this workspace report failures as values instead of
 //! panicking: [`gpu_power::PowerError`] covers power/EDP/VfTable invariants,
 //! and this module's [`SsmdvfsError`] wraps it together with the pipeline's
-//! own failure modes (artifact I/O, artifact parsing, checkpoint corruption,
-//! faulted work units). The CLI formats the chain via `Display` and exits
-//! nonzero, so a failed run names the stage and artifact that broke instead
-//! of aborting mid-pipeline.
+//! own failure modes (artifact I/O, artifact parsing, replay-cache
+//! corruption, faulted work units). The CLI formats the chain via
+//! `Display` and exits nonzero, so a failed run names the stage and
+//! artifact that broke instead of aborting mid-pipeline.
 
 use std::fmt;
 use std::io;
@@ -17,7 +17,7 @@ use gpu_power::PowerError;
 /// The kind of on-disk artifact an I/O or parse failure concerns.
 ///
 /// Carried inside [`SsmdvfsError::Io`]/[`SsmdvfsError::Parse`] so error
-/// messages name the pipeline stage ("model", "dataset", "checkpoint", ...)
+/// messages name the pipeline stage ("model", "dataset", "replay cache", ...)
 /// rather than just a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Artifact {
@@ -25,9 +25,7 @@ pub enum Artifact {
     Model,
     /// A [`DvfsDataset`](crate::DvfsDataset) JSON file.
     Dataset,
-    /// A datagen checkpoint journal (JSONL).
-    Checkpoint,
-    /// A cross-run replay cache (JSON).
+    /// A datagen replay cache (JSONL).
     ReplayCache,
     /// A benchmark report or other serialized output.
     Report,
@@ -39,7 +37,6 @@ impl Artifact {
         match self {
             Artifact::Model => "model",
             Artifact::Dataset => "dataset",
-            Artifact::Checkpoint => "checkpoint",
             Artifact::ReplayCache => "replay cache",
             Artifact::Report => "report",
         }
@@ -69,7 +66,7 @@ pub enum SsmdvfsError {
         source: io::Error,
     },
     /// An artifact file was readable but did not parse as its expected
-    /// shape (malformed JSON, wrong schema, corrupt journal line).
+    /// shape (malformed JSON, wrong schema, corrupt replay-cache line).
     Parse {
         /// What the file was supposed to be.
         artifact: Artifact,
@@ -184,8 +181,8 @@ mod tests {
         assert!(s.contains("read model '/tmp/m.json'"), "got: {s}");
         assert!(s.contains("gone"));
 
-        let e = SsmdvfsError::parse(Artifact::Checkpoint, "ck.jsonl", "bad line 3");
-        assert_eq!(e.to_string(), "malformed checkpoint 'ck.jsonl': bad line 3");
+        let e = SsmdvfsError::parse(Artifact::ReplayCache, "c.jsonl", "line 3: bad");
+        assert_eq!(e.to_string(), "malformed replay cache 'c.jsonl': line 3: bad");
 
         let e = SsmdvfsError::stage("datagen", "2 work units dropped");
         assert_eq!(e.to_string(), "datagen stage failed: 2 work units dropped");

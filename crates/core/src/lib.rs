@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod asic;
-pub mod checkpoint;
 mod compress;
 mod controller;
 mod datagen;

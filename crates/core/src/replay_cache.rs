@@ -1,4 +1,4 @@
-//! A content-addressed, cross-run cache of datagen replay results.
+//! The durable, content-addressed store of datagen replay results.
 //!
 //! Every phase-2 datagen job — replaying one breakpoint interval at one
 //! candidate operating point — is a pure function of the GPU configuration,
@@ -6,8 +6,8 @@
 //! operating point. The [`ReplayCache`] exploits that: it keys each job's
 //! [`RawSample`]s by a stable fingerprint of those five inputs, so a rerun
 //! of the same sweep (an `ablation_suite` iteration, a `granularity_sweep`
-//! repeat, a resumed experiment on a fresh machine) loads the samples
-//! instead of simulating the replay again.
+//! repeat, a sweep killed halfway) loads the samples instead of simulating
+//! the replay again.
 //!
 //! The fingerprint is a 64-bit FNV-1a hash over the inputs' serialized
 //! [`Value`](serde::Value) trees — *not* Rust's `DefaultHasher`, whose
@@ -15,14 +15,25 @@
 //! are already sorted (the vendored serde stores objects as `BTreeMap`s),
 //! so the hash is deterministic for equal inputs on any machine.
 //!
+//! A file-backed store is an append-only JSONL file, one `{key, samples}`
+//! line per replay, written as each replay finishes. A line counts once its
+//! newline is on disk, so a process killed mid-write loses at most the
+//! replay it was writing: [`ReplayCache::open`] drops that truncated final
+//! line and cuts it off the file before anything is appended after it.
+//! Rerunning a killed sweep on its store therefore resumes it, any number
+//! of times. Any other line that is not an entry (corruption, or a file of
+//! another format) is a typed [`SsmdvfsError::Parse`] naming the line.
+//!
 //! Hits and misses are surfaced through the obs counters
 //! `sim.cache_hits` / `sim.cache_misses`, which the CLI's `inspect`
 //! subcommand summarizes.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -107,18 +118,14 @@ pub fn fingerprint<T: Serialize>(value: &T) -> u64 {
     hash
 }
 
-/// The serialized form of the cache file.
-#[derive(Debug, Default, Serialize, Deserialize)]
-struct CacheFile {
-    /// Format version, bumped if the key derivation or sample schema
-    /// changes incompatibly.
-    version: u32,
-    /// Replay results keyed by [`ReplayCache::key`] strings. A `BTreeMap`
-    /// keeps the on-disk order (and thus the file bytes) deterministic.
-    entries: BTreeMap<String, Vec<RawSample>>,
+/// One stored replay: a line of the store file.
+#[derive(Serialize, Deserialize)]
+struct Entry {
+    /// The job's [`ReplayCache::key`].
+    key: String,
+    /// The job's samples (in cluster order, possibly empty).
+    samples: Vec<RawSample>,
 }
-
-const CACHE_VERSION: u32 = 1;
 
 /// A thread-safe, content-addressed store of replay results that persists
 /// across runs. Each job's samples are keyed by a [`fingerprint`] of the
@@ -127,47 +134,75 @@ const CACHE_VERSION: u32 = 1;
 /// trees, stable across processes and machines.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
-    path: Option<PathBuf>,
-    entries: Mutex<BTreeMap<String, Vec<RawSample>>>,
+    /// The store file and its path (`None` in memory). The handle is
+    /// dropped after a failed append, so nothing is written after a
+    /// partial line and the next [`ReplayCache::open`] can cut it off.
+    store: Option<(PathBuf, Mutex<Option<File>>)>,
+    entries: Mutex<HashMap<String, Vec<RawSample>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ReplayCache {
-    /// An empty in-memory cache (no backing file; [`ReplayCache::save`] is
-    /// a no-op).
+    /// An empty in-memory cache (no backing file).
     pub fn in_memory() -> ReplayCache {
         ReplayCache::default()
     }
 
-    /// Opens the cache at `path`, loading any existing entries. A missing
-    /// file (or one written by an incompatible cache version) yields an
-    /// empty cache bound to that path.
+    /// Opens the store at `path`, creating the file if it is absent, and
+    /// loads every complete line. A final line without its newline (a
+    /// write cut by a kill) is dropped and cut off the file.
     ///
     /// # Errors
     ///
-    /// Returns [`SsmdvfsError::Io`] if the file exists but cannot be read,
-    /// or [`SsmdvfsError::Parse`] if it is not valid cache JSON.
+    /// Returns [`SsmdvfsError::Io`] if the file cannot be created, read or
+    /// cut, and [`SsmdvfsError::Parse`] naming the first line that is not
+    /// an entry, other than a truncated final one.
     pub fn open(path: impl AsRef<Path>) -> Result<ReplayCache, SsmdvfsError> {
         let path = path.as_ref().to_path_buf();
-        let entries = if path.exists() {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| SsmdvfsError::read(Artifact::ReplayCache, &path, e))?;
-            let file: CacheFile = serde_json::from_str(&text)
-                .map_err(|e| SsmdvfsError::parse(Artifact::ReplayCache, &path, e))?;
-            if file.version == CACHE_VERSION {
-                file.entries
-            } else {
-                BTreeMap::new()
+        let write_error = |e| SsmdvfsError::write(Artifact::ReplayCache, &path, e);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)
+            .map_err(write_error)?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)
+            .map_err(|e| SsmdvfsError::read(Artifact::ReplayCache, &path, e))?;
+        let mut entries = HashMap::new();
+        // Bytes up to the end of the last complete line.
+        let mut kept = 0;
+        for (n, line) in text.split_inclusive('\n').enumerate() {
+            let complete = line.ends_with('\n');
+            let bad_line = |e| {
+                SsmdvfsError::parse(Artifact::ReplayCache, &path, format!("line {}: {e}", n + 1))
+            };
+            match serde_json::from_str::<Value>(line) {
+                Ok(value) => {
+                    let entry: Entry = serde_json::from_value(value).map_err(bad_line)?;
+                    if complete {
+                        entries.insert(entry.key, entry.samples);
+                    }
+                }
+                // Only the final line can lack its newline, and a cut entry
+                // still starts like one: a foreign one-line file is no cut.
+                Err(_) if !complete && line.starts_with('{') => {}
+                Err(_) if line.trim().is_empty() => {}
+                Err(e) => return Err(bad_line(e)),
             }
-        } else {
-            BTreeMap::new()
-        };
+            if complete {
+                kept += line.len();
+            }
+        }
+        if kept < text.len() {
+            obs::warn!("replay cache: cutting a truncated final line off '{}'", path.display());
+            file.set_len(kept as u64).map_err(write_error)?;
+        }
         Ok(ReplayCache {
-            path: Some(path),
+            store: Some((path, Mutex::new(Some(file)))),
             entries: Mutex::new(entries),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            ..ReplayCache::default()
         })
     }
 
@@ -187,7 +222,7 @@ impl ReplayCache {
     /// Looks up a replay's samples, counting a hit or miss (both locally
     /// and on the obs counters `sim.cache_hits`/`sim.cache_misses`).
     pub fn get(&self, key: &str) -> Option<Vec<RawSample>> {
-        let entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         match entries.get(key) {
             Some(samples) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -202,15 +237,37 @@ impl ReplayCache {
         }
     }
 
-    /// Stores a replay's samples under `key`.
-    pub fn insert(&self, key: String, samples: Vec<RawSample>) {
-        let mut entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        entries.insert(key, samples);
+    /// Stores a replay's samples under `key` and, for a file-backed store,
+    /// appends them as one line. `File` does no buffering, so the line is
+    /// with the OS when this returns and survives the process being killed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsmdvfsError::Io`] if the append fails. The samples are
+    /// still stored in memory, and nothing more is appended to the file.
+    pub fn insert(&self, key: String, samples: Vec<RawSample>) -> Result<(), SsmdvfsError> {
+        let entry = Entry { key, samples };
+        let mut appended = Ok(());
+        if let Some((path, file)) = &self.store {
+            let mut line = serde_json::to_string(&entry)
+                .map_err(|e| SsmdvfsError::parse(Artifact::ReplayCache, path, e))?;
+            line.push('\n');
+            let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(f) = file.as_mut() {
+                if let Err(e) = f.write_all(line.as_bytes()) {
+                    *file = None;
+                    appended = Err(SsmdvfsError::write(Artifact::ReplayCache, path, e));
+                }
+            }
+        }
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        entries.insert(entry.key, entry.samples);
+        appended
     }
 
     /// Number of cached replays.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the cache holds no entries.
@@ -226,23 +283,6 @@ impl ReplayCache {
     /// Misses recorded since this cache was opened.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Writes the cache back to its backing file (no-op for an in-memory
-    /// cache). The output is deterministic: entries are written in sorted
-    /// key order, so two caches with equal contents produce equal bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsmdvfsError::Io`] if the write fails.
-    pub fn save(&self) -> Result<(), SsmdvfsError> {
-        let Some(path) = &self.path else { return Ok(()) };
-        let entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let file = CacheFile { version: CACHE_VERSION, entries: entries.clone() };
-        drop(entries);
-        let text = serde_json::to_string_pretty(&file)
-            .map_err(|e| SsmdvfsError::parse(Artifact::ReplayCache, path, e))?;
-        std::fs::write(path, text).map_err(|e| SsmdvfsError::write(Artifact::ReplayCache, path, e))
     }
 }
 
@@ -264,6 +304,13 @@ mod tests {
         }
     }
 
+    fn temp_path(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("ssmdvfs-replay-cache-{tag}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
         let cfg = GpuConfig::small_test();
@@ -283,7 +330,7 @@ mod tests {
         let key = ReplayCache::key(1, 2, 3, 4, 5);
         assert!(cache.get(&key).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.insert(key.clone(), vec![sample(5)]);
+        cache.insert(key.clone(), vec![sample(5)]).unwrap();
         let got = cache.get(&key).expect("inserted");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].op_index, 5);
@@ -291,43 +338,89 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_through_disk_with_deterministic_bytes() {
-        let dir =
-            std::env::temp_dir().join(format!("ssmdvfs-replay-cache-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        let _ = std::fs::remove_file(&path);
-
-        let cache = ReplayCache::open(&path).expect("missing file yields empty cache");
+    fn roundtrips_through_disk() {
+        let path = temp_path("roundtrip");
+        let cache = ReplayCache::open(&path).expect("a missing file yields an empty store");
         assert!(cache.is_empty());
-        cache.insert(ReplayCache::key(9, 8, 7, 0, 1), vec![sample(1), sample(2)]);
-        cache.insert(ReplayCache::key(9, 8, 7, 1, 0), vec![sample(0)]);
-        cache.save().expect("save");
-        let bytes_a = std::fs::read(&path).unwrap();
+        assert!(path.exists(), "open creates the file up front");
+        cache.insert(ReplayCache::key(9, 8, 7, 0, 1), vec![sample(1), sample(2)]).unwrap();
+        cache.insert(ReplayCache::key(9, 8, 7, 1, 0), vec![sample(0)]).unwrap();
+        drop(cache);
 
         let reloaded = ReplayCache::open(&path).expect("reload");
         assert_eq!(reloaded.len(), 2);
         let got = reloaded.get(&ReplayCache::key(9, 8, 7, 0, 1)).expect("hit");
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[1].op_index, 2);
-        reloaded.save().expect("resave");
-        let bytes_b = std::fs::read(&path).unwrap();
-        assert_eq!(bytes_a, bytes_b, "save must be byte-deterministic");
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+        assert_eq!(got, vec![sample(1), sample(2)]);
+        // A reopened store keeps appending after what it loaded.
+        reloaded.insert(ReplayCache::key(9, 8, 7, 2, 0), Vec::new()).unwrap();
+        drop(reloaded);
+        assert_eq!(ReplayCache::open(&path).unwrap().len(), 3);
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn incompatible_version_is_ignored() {
-        let dir =
-            std::env::temp_dir().join(format!("ssmdvfs-replay-cache-ver-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        std::fs::write(&path, r#"{"version": 999, "entries": {}}"#).unwrap();
-        let cache = ReplayCache::open(&path).expect("open");
-        assert!(cache.is_empty());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+    fn tolerates_a_truncated_final_line_only() {
+        let path = temp_path("truncated");
+        let cache = ReplayCache::open(&path).unwrap();
+        cache.insert(ReplayCache::key(1, 1, 1, 0, 0), vec![sample(0)]).unwrap();
+        drop(cache);
+        let complete = std::fs::read_to_string(&path).unwrap();
+        // A kill mid-write: half a line, with or without its JSON closed.
+        for cut in [format!("{{\"key\":\"{}\",\"samp", "x"), complete.trim_end().to_string()] {
+            std::fs::write(&path, format!("{complete}{cut}")).unwrap();
+            let cache = ReplayCache::open(&path).expect("a truncated final line is dropped");
+            assert_eq!(cache.len(), 1, "the complete line survives");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), complete, "the cut line is gone");
+            // Appends land on a line of their own, so a second reopen holds.
+            cache.insert(ReplayCache::key(1, 1, 1, 0, 1), Vec::new()).unwrap();
+            drop(cache);
+            assert_eq!(ReplayCache::open(&path).unwrap().len(), 2);
+            std::fs::write(&path, &complete).unwrap();
+        }
+
+        // The same garbage anywhere earlier is corruption, not truncation.
+        std::fs::write(&path, format!("{{not json}}\n{complete}")).unwrap();
+        let err = ReplayCache::open(&path).unwrap_err();
+        assert!(matches!(err, SsmdvfsError::Parse { .. }), "got: {err}");
+        assert!(err.to_string().contains("malformed replay cache"), "got: {err}");
+        assert!(err.to_string().contains("line 1"), "got: {err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn foreign_lines_are_parse_errors() {
+        let path = temp_path("foreign");
+        let cases = [
+            // An old checkpoint journal line, complete and final.
+            "{\"benchmark\":\"bfs\",\"breakpoint\":0,\"op_index\":0,\"samples\":[]}\n",
+            // The old single-document cache, compact and pretty-printed.
+            r#"{"version": 999, "entries": {}}"#,
+            "{\n  \"entries\": {},\n  \"version\": 1\n}",
+            // A one-line file of another kind, without its newline.
+            "not a replay store",
+        ];
+        for text in cases {
+            std::fs::write(&path, text).unwrap();
+            let err = ReplayCache::open(&path).unwrap_err();
+            assert!(matches!(err, SsmdvfsError::Parse { .. }), "{text}: {err}");
+            assert!(err.to_string().contains("line 1"), "{text}: {err}");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "a foreign file is untouched"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unwritable_path_is_a_typed_write_error() {
+        let err = ReplayCache::open("/nonexistent/dir/cache.jsonl").unwrap_err();
+        assert!(matches!(err, SsmdvfsError::Io { op: crate::IoOp::Write, .. }), "got: {err}");
+        assert!(
+            err.to_string().contains("write replay cache '/nonexistent/dir/cache.jsonl'"),
+            "got: {err}"
+        );
     }
 }

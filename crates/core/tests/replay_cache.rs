@@ -62,14 +62,14 @@ fn persisted_cache_serves_identical_bytes() {
     let dir = std::env::temp_dir()
         .join(format!("ssmdvfs-replay-cache-integration-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.json");
+    let path = dir.join("cache.jsonl");
+    std::fs::remove_file(&path).ok();
 
     let cold_cache = Arc::new(ReplayCache::open(&path).unwrap());
     let cold = sweep(&cfg, &dg, &benches, 2, Some(cold_cache.clone()));
-    cold_cache.save().unwrap();
 
-    // A fresh handle on the saved file (a new process, in effect) serves
-    // every replay from disk.
+    // A fresh handle on the file (a new process, in effect) serves every
+    // replay from disk.
     let warm_cache = Arc::new(ReplayCache::open(&path).unwrap());
     assert_eq!(warm_cache.len(), cold_cache.len(), "the cache must roundtrip through disk");
     let warm = sweep(&cfg, &dg, &benches, 3, Some(warm_cache.clone()));

@@ -39,9 +39,7 @@ use crate::series::{Sampler, TimeSeries};
 /// phase ordering.
 pub const DEFAULT_COUNTERS: &[&str] = &[
     "bench.runs",
-    "checkpoint.loaded_entries",
     "datagen.breakpoints",
-    "datagen.jobs_resumed",
     "datagen.replays",
     "datagen.samples",
     "exec.quarantine_dropped",

@@ -15,7 +15,7 @@ use gpu_workloads::Benchmark;
 use ssmdvfs::exec::FaultPolicy;
 use ssmdvfs::{
     failpoint, generate_suite_with, CombinedModel, DataGenConfig, DecisionRequest, DecisionService,
-    PendingDecision, ServeConfig, SsmdvfsConfig, SuiteOptions,
+    PendingDecision, ReplayCache, ServeConfig, SsmdvfsConfig, SuiteOptions,
 };
 
 fn small_suite() -> (Vec<Benchmark>, GpuConfig, DataGenConfig) {
@@ -63,10 +63,16 @@ fn fault_injection_scenarios() {
 
     // Scenario 2: a persistent fault (more panics than the budget) drops
     // the unit; the sweep still completes, the report names the casualty,
-    // and exactly that unit's samples are missing.
+    // and exactly that unit's samples are missing. The sweep runs on a
+    // file-backed replay store, which must not keep the dropped unit.
+    let store_path = std::env::temp_dir()
+        .join(format!("ssmdvfs-fault-injection-store-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&store_path).ok();
+    let store = Arc::new(ReplayCache::open(&store_path).expect("store opens"));
     failpoint::arm("datagen.replay", 3, usize::MAX);
     let mut options = SuiteOptions::new(2);
     options.fault_policy = Some(FaultPolicy { max_retries: 1 });
+    options.cache = Some(store.clone());
     let outcome = generate_suite_with(&benches, &cfg, &dg, &options).expect("sweep survives");
     failpoint::disarm_all();
     assert_eq!(outcome.faults.dropped.len(), 1, "exactly one unit dropped: {}", outcome.faults);
@@ -78,6 +84,21 @@ fn fault_injection_scenarios() {
         faulted_total < clean_total,
         "the dropped unit's samples are missing ({faulted_total} < {clean_total})"
     );
+    // Every job missed the empty store; all but the dropped one are stored,
+    // in memory and on disk.
+    let jobs = store.misses() as usize;
+    assert_eq!(store.len(), jobs - 1, "the dropped unit is not stored");
+    drop(store);
+    assert_eq!(ReplayCache::open(&store_path).expect("store reopens").len(), jobs - 1);
+    // Disarmed, a rerun on the store simulates only the dropped unit and
+    // reproduces the clean sweep.
+    let store = Arc::new(ReplayCache::open(&store_path).expect("store reopens"));
+    let mut options = SuiteOptions::new(2);
+    options.cache = Some(store.clone());
+    let rerun = generate_suite_with(&benches, &cfg, &dg, &options).expect("rerun");
+    assert_eq!((store.hits(), store.misses()), (jobs as u64 - 1, 1), "one replay misses");
+    assert_eq!(rerun.datasets, clean, "the rerun fills in exactly the dropped unit");
+    std::fs::remove_file(&store_path).ok();
 
     // Scenario 3: no fault policy — the injected panic propagates fail-fast
     // with its message intact, exactly like any other worker panic.
