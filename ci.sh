@@ -181,8 +181,9 @@ done
 
 echo "==> train-determinism smoke (--jobs 1 and --jobs 4 models byte-identical)"
 # The sharded-gradient SGD engine must produce the same serialized model at
-# any worker count; the metrics snapshot must surface the new training
-# counters (grad shards, parallel batches, batch-latency histogram).
+# any worker count; the metrics snapshot must surface the training
+# counters (grad shards, parallel batches, batch-latency histogram) and
+# each head's per-epoch gauges.
 "$SSMDVFS_BIN" train --dataset "$OBS_TMP/data.json" \
   --out "$OBS_TMP/model-j1.json" --epochs 6 --jobs 1 --log-level warn \
   --metrics-out "$OBS_TMP/train-j1-metrics.json"
@@ -208,6 +209,13 @@ for m, jobs in ((j1, 1), (j4, 4)):
     assert "train.parallel_batches" in m["counters"], (jobs, sorted(m["counters"]))
     assert any(h.startswith("train.batch_latency_us") for h in m["histograms"]), \
         (jobs, sorted(m["histograms"]))
+    # Both heads share one epoch loop but publish their own gauges: a
+    # shared gauge! call site would write the regressor's epochs into the
+    # classifier's names and leave these two missing.
+    for g in ("train.classifier_loss", "train.val_accuracy",
+              "train.regressor_loss", "train.val_mape"):
+        assert g in m["gauges"], (jobs, g, sorted(m["gauges"]))
+    assert 0.0 <= m["gauges"]["train.val_accuracy"] <= 1.0, (jobs, m["gauges"])
 assert j1["counters"]["train.parallel_batches"] == 0, j1["counters"]
 assert j4["counters"]["train.parallel_batches"] > 0, j4["counters"]
 assert j1["counters"]["train.grad_shards"] == j4["counters"]["train.grad_shards"], \
@@ -215,7 +223,7 @@ assert j1["counters"]["train.grad_shards"] == j4["counters"]["train.grad_shards"
 print(f"train metrics: 12 epochs at 1 and 4 jobs, "
       f"{j4['counters']['train.grad_shards']} grad shards "
       f"(same at 1 and 4 jobs), {j4['counters']['train.parallel_batches']} "
-      f"parallel batches at 4 jobs, latency histogram present")
+      f"parallel batches at 4 jobs, latency histogram and both heads' gauges present")
 EOF
 
 echo "==> fault-injection smoke (quarantine survives an injected panic)"

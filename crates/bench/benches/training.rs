@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CounterId, EpochCounters};
 use ssmdvfs::{DvfsDataset, FeatureSet, RawSample};
 use tinynn::{
-    train_classifier, train_classifier_parallel_with, ClassificationData, Mlp, Normalizer, Pool,
-    TrainConfig, TrainScratch,
+    train_classifier, ClassificationData, Mlp, Normalizer, Pool, TrainConfig, TrainScratch,
 };
 
 fn synthetic_dataset(n: usize) -> DvfsDataset {
@@ -51,7 +50,9 @@ fn bench_training_epoch(c: &mut Criterion) {
         b.iter(|| {
             let mut mlp = Mlp::new(&[6, 20, 20, 20, 20, 20, 6], &mut rng);
             let cfg = TrainConfig { epochs: 1, ..TrainConfig::default() };
-            train_classifier(&mut mlp, &train, &val, &cfg).best_metric
+            let scratch = &mut TrainScratch::new();
+            train_classifier(&mut mlp, &train, &val, &cfg, None, scratch, &Pool::serial())
+                .best_metric
         });
     });
     // Same epoch through the persistent shard pool at 4 jobs. The result
@@ -63,8 +64,7 @@ fn bench_training_epoch(c: &mut Criterion) {
         b.iter(|| {
             let mut mlp = Mlp::new(&[6, 20, 20, 20, 20, 20, 6], &mut rng);
             let cfg = TrainConfig { epochs: 1, ..TrainConfig::default() };
-            train_classifier_parallel_with(&mut mlp, &train, &val, &cfg, None, &mut scratch, &pool)
-                .best_metric
+            train_classifier(&mut mlp, &train, &val, &cfg, None, &mut scratch, &pool).best_metric
         });
     });
     group.finish();

@@ -24,7 +24,7 @@ use gpu_sim::{CounterId, DvfsGovernor, GpuConfig, SimResult, Simulation, StaticG
 use gpu_workloads::by_name;
 use ssmdvfs::exec::parallel_map_ref;
 use ssmdvfs::{
-    train_combined, CombinedModel, FeatureSet, LabelingMode, ModelArch, SsmdvfsConfig,
+    train_combined_jobs, CombinedModel, FeatureSet, LabelingMode, ModelArch, SsmdvfsConfig,
     SsmdvfsGovernor,
 };
 use ssmdvfs_bench::{
@@ -64,7 +64,8 @@ fn main() {
     let dataset = build_or_load_dataset(&config, "main");
     let num_ops = config.gpu.vf_table.len();
     let train = |ds: &ssmdvfs::DvfsDataset, fs: &FeatureSet| -> (CombinedModel, f64, f64) {
-        let (m, s) = train_combined(ds, fs, &ModelArch::paper_full(), num_ops, &config.train, 0.25);
+        let arch = ModelArch::paper_full();
+        let (m, s) = train_combined_jobs(ds, fs, &arch, num_ops, &config.train, 0.25, 1);
         (m, s.decision_accuracy, s.calibrator_mape)
     };
 

@@ -8,7 +8,7 @@
 //! fall below a critical threshold, then drops sharply — with the pruning
 //! curve sitting above the layer-wise curve at equal FLOPs.
 
-use ssmdvfs::{layerwise_sweep, pruning_sweep, FeatureSet, ModelArch};
+use ssmdvfs::{layerwise_sweep_jobs, pruning_sweep_jobs, FeatureSet, ModelArch};
 use ssmdvfs_bench::{
     artifacts_dir, build_or_load_dataset, format_table, train_or_load_model, write_csv,
     PipelineConfig,
@@ -25,12 +25,13 @@ fn main() {
     let shapes: &[(usize, usize)] =
         &[(5, 20), (4, 20), (3, 20), (3, 16), (3, 12), (2, 12), (2, 8), (1, 8), (1, 4), (1, 2)];
     let t0 = std::time::Instant::now();
-    let layerwise = layerwise_sweep(
+    let layerwise = layerwise_sweep_jobs(
         &dataset,
         &FeatureSet::refined(),
         shapes,
         config.gpu.vf_table.len(),
         &sweep_config,
+        1,
     );
     eprintln!("[fig3] layer-wise sweep finished in {:.1?}", t0.elapsed());
 
@@ -47,7 +48,7 @@ fn main() {
         (0.95, 0.95),
     ];
     let t0 = std::time::Instant::now();
-    let pruning = pruning_sweep(&model, &dataset, params, &sweep_config);
+    let pruning = pruning_sweep_jobs(&model, &dataset, params, &sweep_config, 1);
     eprintln!("[fig3] pruning sweep finished in {:.1?}", t0.elapsed());
 
     println!("\n=== Fig. 3 — FLOPs vs accuracy and MAPE ===\n");

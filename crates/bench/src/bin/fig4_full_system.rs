@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use gpu_sim::Time;
 use gpu_workloads::evaluation_set;
-use ssmdvfs::{compress_and_finetune, ModelArch};
+use ssmdvfs::{compress_and_finetune_jobs, ModelArch};
 use ssmdvfs_bench::{
     artifacts_dir, build_or_load_dataset, compare_on_benchmark, format_table, train_or_load_model,
     write_csv, ComparisonRow, GovernorKind, PipelineConfig,
@@ -51,7 +51,7 @@ fn main() {
         "main_compressed_arch",
     );
     let finetune = TrainConfig { epochs: 80, ..config.train.clone() };
-    let compressed = compress_and_finetune(&layerwise, &dataset, 0.6, 0.9, &finetune);
+    let compressed = compress_and_finetune_jobs(&layerwise, &dataset, 0.6, 0.9, &finetune, 1);
     eprintln!(
         "[fig4] compressed model: {} sparse FLOPs (vs {} dense)",
         compressed.sparse_flops(),

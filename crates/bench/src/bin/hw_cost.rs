@@ -5,7 +5,7 @@
 //! the final compressed model. The paper reports 192 cycles (0.16 µs at
 //! 1165 MHz, 1.65 % of one 10 µs epoch), 0.0080 mm² and 0.0025 W at 28 nm.
 
-use ssmdvfs::{compress_and_finetune, estimate_asic, AsicConfig, ModelArch};
+use ssmdvfs::{compress_and_finetune_jobs, estimate_asic, AsicConfig, ModelArch};
 use ssmdvfs_bench::{
     artifacts_dir, build_or_load_dataset, format_table, train_or_load_model, write_csv,
     PipelineConfig,
@@ -22,7 +22,7 @@ fn main() {
         "main_compressed_arch",
     );
     let finetune = TrainConfig { epochs: 80, ..config.train.clone() };
-    let compressed = compress_and_finetune(&layerwise, &dataset, 0.6, 0.9, &finetune);
+    let compressed = compress_and_finetune_jobs(&layerwise, &dataset, 0.6, 0.9, &finetune, 1);
     let (full, _) = train_or_load_model(&dataset, &ModelArch::paper_full(), &config, "main_full");
 
     let freq_mhz = config.gpu.vf_table.default_point().freq_mhz();

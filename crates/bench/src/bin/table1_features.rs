@@ -6,7 +6,7 @@
 //! selected set next to the paper's (IPC, PPC, MH, MH\L, L1CRM) together
 //! with the accuracy cost of the reduction.
 
-use ssmdvfs::{select_features, FeatureSet};
+use ssmdvfs::{select_features_with, FeatureSet, RfeOptions};
 use ssmdvfs_bench::{
     artifacts_dir, build_or_load_dataset, format_table, write_csv, PipelineConfig,
 };
@@ -19,7 +19,8 @@ fn main() {
     // while still ranking features reliably.
     let rfe_config = TrainConfig { epochs: 30, patience: 8, ..config.train.clone() };
     let t0 = std::time::Instant::now();
-    let selection = select_features(&dataset, config.gpu.vf_table.len(), 4, &rfe_config);
+    let num_ops = config.gpu.vf_table.len();
+    let selection = select_features_with(&dataset, num_ops, 4, &rfe_config, &RfeOptions::default());
     eprintln!("[table1] RFE finished in {:.1?}", t0.elapsed());
 
     println!("\n=== Table I — metrics and performance counters ===\n");

@@ -6,7 +6,7 @@
 //! before/after structure, FLOPs, Decision-maker accuracy and Calibrator
 //! MAPE — the contents of Table II.
 
-use ssmdvfs::{compress_and_finetune, evaluate, CombinedModel, ModelArch};
+use ssmdvfs::{compress_and_finetune_jobs, evaluate, CombinedModel, ModelArch};
 use ssmdvfs_bench::{
     artifacts_dir, build_or_load_dataset, format_table, train_or_load_model, write_csv,
     PipelineConfig,
@@ -34,7 +34,7 @@ fn main() {
     );
     // Then the paper's chosen pruning with fine-tuning.
     let finetune = TrainConfig { epochs: 80, ..config.train.clone() };
-    let pruned = compress_and_finetune(&layerwise, &dataset, 0.6, 0.9, &finetune);
+    let pruned = compress_and_finetune_jobs(&layerwise, &dataset, 0.6, 0.9, &finetune, 1);
 
     let (full_acc, full_mape) = evaluate(&full, &dataset);
     let (pruned_acc, pruned_mape) = evaluate(&pruned, &dataset);

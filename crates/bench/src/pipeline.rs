@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use gpu_sim::GpuConfig;
 use gpu_workloads::{training_set, Benchmark};
 use ssmdvfs::{
-    generate_suite_with, train_combined, CombinedModel, DataGenConfig, DvfsDataset, FeatureSet,
-    ModelArch, ReplayCache, SuiteOptions, TrainSummary,
+    generate_suite_with, train_combined_jobs, CombinedModel, DataGenConfig, DvfsDataset,
+    FeatureSet, ModelArch, ReplayCache, SuiteOptions, TrainSummary,
 };
 use tinynn::TrainConfig;
 
@@ -159,13 +159,14 @@ pub fn train_or_load_model(
         }
     }
     let t0 = std::time::Instant::now();
-    let (model, summary) = train_combined(
+    let (model, summary) = train_combined_jobs(
         dataset,
         &FeatureSet::refined(),
         arch,
         config.gpu.vf_table.len(),
         &config.train,
         0.25,
+        1,
     );
     obs::info!(
         "pipeline: trained '{tag}' in {:.1?}: accuracy {:.2}%, MAPE {:.2}%",

@@ -551,7 +551,7 @@ pub fn compress(args: &Args) -> CmdResult {
     if !(0.0..=1.0).contains(&x1) || !(0.0..=1.0).contains(&x2) {
         return Err(err("--x1 and --x2 must be in [0, 1]"));
     }
-    let finetune = TrainConfig { epochs: args.get_usize("epochs", 80)?, ..TrainConfig::default() };
+    let finetune = TrainConfig { epochs: positive(args, "epochs", 80)?, ..TrainConfig::default() };
     let jobs = args.get_usize("jobs", 1)?;
     let splits = FinetuneSplits::try_prepare(&model, &dataset, &finetune)
         .map_err(|e| unusable_dataset("compress", dataset_path, e))?;
@@ -1231,22 +1231,36 @@ mod tests {
         idle.instructions = 0;
         let one_path = dir.join("one.json");
         DvfsDataset { samples: vec![idle], ..dataset.clone() }.save(&one_path).unwrap();
+        // Every window idle: both heads get rows to split, but every
+        // calibrator target is zero, so MAPE (the early-stopping metric)
+        // is undefined.
+        let mut all_idle = dataset.clone();
+        all_idle.samples.iter_mut().for_each(|s| s.instructions = 0);
+        let idle_path = dir.join("idle.json");
+        all_idle.save(&idle_path).unwrap();
         let model_path = dir.join("model.json");
         CombinedModel::synthetic(6, 1).save(&model_path).unwrap();
         let out = dir.join("out.json");
         let out_arg = out.to_str().unwrap();
         let _ = fs::remove_file(&out);
 
-        let (empty, one, data) =
-            (empty_path.to_str().unwrap(), one_path.to_str().unwrap(), data_path.to_str().unwrap());
+        let (empty, one, idle, data) = (
+            empty_path.to_str().unwrap(),
+            one_path.to_str().unwrap(),
+            idle_path.to_str().unwrap(),
+            data_path.to_str().unwrap(),
+        );
         let cases: Vec<(Vec<&str>, &str)> = vec![
             (vec!["train", "--dataset", empty], "no samples"),
             (vec!["train", "--dataset", one], "calibrator head gets 1 row(s)"),
             (vec!["train", "--dataset", one, "--rfe", "4"], "calibrator head gets 1 row(s)"),
+            (vec!["train", "--dataset", idle], "MAPE is undefined"),
             (vec!["train", "--dataset", data, "--epochs", "0"], "--epochs"),
             (vec!["train", "--dataset", data, "--rfe", "4", "--rfe-epochs", "0"], "--rfe-epochs"),
             (vec!["compress", "--dataset", empty], "no samples"),
             (vec!["compress", "--dataset", one], "calibrator head gets 1 row(s)"),
+            (vec!["compress", "--dataset", idle], "MAPE is undefined"),
+            (vec!["compress", "--dataset", data, "--epochs", "0"], "--epochs"),
             (vec!["evaluate", "--dataset", empty], "no samples"),
             (vec!["evaluate", "--dataset", one], "MAPE is undefined"),
         ];

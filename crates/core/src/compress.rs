@@ -6,16 +6,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tinynn::{
-    accuracy, mape, prune_magnitude, prune_neurons, train_classifier_parallel_with,
-    train_regressor_parallel_with, ClassificationData, Pool, RegressionData, TrainConfig,
-    TrainScratch, ZeroMask,
+    accuracy, mape, prune_magnitude, prune_neurons, train_classifier, train_regressor,
+    ClassificationData, Pool, RegressionData, TrainConfig, TrainScratch, ZeroMask,
 };
 
 use crate::datagen::DvfsDataset;
 use crate::error::SsmdvfsError;
 use crate::features::FeatureSet;
 use crate::model::{CombinedModel, ModelArch};
-use crate::train::{check_head_rows, train_prepared, PreparedSplits};
+use crate::train::{check_head_rows, check_val_targets, train_prepared, PreparedSplits};
 
 /// One point on a FLOPs-vs-quality curve (the axes of Fig. 3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,31 +30,17 @@ pub struct CompressionPoint {
 }
 
 /// Sweeps uniform architectures (hidden-layer count × width), training each
-/// from scratch — the "layer-wise compression" series of Fig. 3.
+/// from scratch with the SGD fan-out on `jobs` workers — the "layer-wise
+/// compression" series of Fig. 3. The decision/calibrator splits are
+/// prepared **once** and shared by every shape (they do not depend on the
+/// architecture), so the sweep performs no per-retrain dataset derivation
+/// or cloning; each retrain also reuses one scratch and one worker team.
+/// Points are byte-identical at any `jobs`.
 ///
 /// # Panics
 ///
-/// Panics if the dataset is empty or `shapes` is empty.
-pub fn layerwise_sweep(
-    dataset: &DvfsDataset,
-    features: &FeatureSet,
-    shapes: &[(usize, usize)],
-    num_ops: usize,
-    config: &TrainConfig,
-) -> Vec<CompressionPoint> {
-    layerwise_sweep_jobs(dataset, features, shapes, num_ops, config, 1)
-}
-
-/// [`layerwise_sweep`] with the SGD fan-out running on `jobs` workers. The
-/// decision/calibrator splits are prepared **once** and shared by every
-/// shape (they do not depend on the architecture), so the sweep performs
-/// no per-retrain dataset derivation or cloning; each retrain also reuses
-/// one scratch and one worker team. Points are byte-identical at any
-/// `jobs`.
-///
-/// # Panics
-///
-/// As [`layerwise_sweep`].
+/// Panics if `shapes` is empty or where [`PreparedSplits::try_prepare`]
+/// returns an error.
 pub fn layerwise_sweep_jobs(
     dataset: &DvfsDataset,
     features: &FeatureSet,
@@ -86,7 +71,7 @@ pub fn layerwise_sweep_jobs(
 /// Applies the paper's two-stage pruning to both heads of a trained model:
 /// magnitude pruning at `x1`, then removal of neurons whose incoming weights
 /// are at least `x2` zeros. No fine-tuning — see
-/// [`compress_and_finetune`] for the recovery step used by the final
+/// [`compress_and_finetune_jobs`] for the recovery step used by the final
 /// pipeline.
 pub fn compress_model(model: &CombinedModel, x1: f32, x2: f32) -> CombinedModel {
     let mut out = model.clone();
@@ -102,7 +87,7 @@ pub fn compress_model(model: &CombinedModel, x1: f32, x2: f32) -> CombinedModel 
 /// The normalized, split recovery-training datasets of the fine-tune step,
 /// derived from a `(model, dataset, seed)` triple exactly once. The splits
 /// depend only on the *unpruned* model's normalizers and feature set —
-/// never on the `(x1, x2)` pruning parameters — so a [`pruning_sweep`]
+/// never on the `(x1, x2)` pruning parameters — so a [`pruning_sweep_jobs`]
 /// prepares once and fine-tunes every point against borrowed splits
 /// instead of re-deriving (and cloning) the dataset per point.
 #[derive(Debug, Clone)]
@@ -121,8 +106,10 @@ impl FinetuneSplits {
     /// # Errors
     ///
     /// Returns [`SsmdvfsError::Stage`] (stage `compress`) if the dataset is
-    /// empty or either head's derived dataset has too few rows to fill both
-    /// a training and a validation split, before anything is fine-tuned.
+    /// empty, if either head's derived dataset has too few rows to fill
+    /// both a training and a validation split, or if every calibrator
+    /// validation target is zero (idle windows), before anything is
+    /// fine-tuned.
     pub fn try_prepare(
         model: &CombinedModel,
         dataset: &DvfsDataset,
@@ -146,6 +133,7 @@ impl FinetuneSplits {
         let cal_data =
             RegressionData::new(model.calibrator_norm.transform(&cal_data.x), cal_data.y);
         let (cal_train, cal_val) = cal_data.split(0.25, &mut rng);
+        check_val_targets("compress", &cal_val)?;
         Ok(FinetuneSplits { dec_train, dec_val, cal_train, cal_val })
     }
 
@@ -167,27 +155,12 @@ impl FinetuneSplits {
 /// The full compression pipeline: two-stage pruning followed by a short
 /// sparsity-preserving fine-tune of both heads on the dataset (pruned
 /// weights stay frozen at zero, so the FLOPs reduction survives the
-/// recovery training).
+/// recovery training), with the recovery SGD on `jobs` workers —
+/// byte-identical at any `jobs`.
 ///
 /// # Panics
 ///
-/// Panics if the dataset is empty.
-pub fn compress_and_finetune(
-    model: &CombinedModel,
-    dataset: &DvfsDataset,
-    x1: f32,
-    x2: f32,
-    config: &TrainConfig,
-) -> CombinedModel {
-    compress_and_finetune_jobs(model, dataset, x1, x2, config, 1)
-}
-
-/// [`compress_and_finetune`] with the recovery SGD running on `jobs`
-/// workers — byte-identical at any `jobs`.
-///
-/// # Panics
-///
-/// As [`compress_and_finetune`].
+/// Panics where [`FinetuneSplits::try_prepare`] returns an error.
 pub fn compress_and_finetune_jobs(
     model: &CombinedModel,
     dataset: &DvfsDataset,
@@ -198,12 +171,12 @@ pub fn compress_and_finetune_jobs(
 ) -> CombinedModel {
     let splits = FinetuneSplits::prepare(model, dataset, config);
     let pool = Pool::new(jobs);
-    // Both recovery trainings share one scratch, like `train_combined`.
+    // Both recovery trainings share one scratch, like `train_combined_jobs`.
     let mut scratch = TrainScratch::new();
     compress_and_finetune_prepared(model, &splits, x1, x2, config, &pool, &mut scratch)
 }
 
-/// [`compress_and_finetune`] against prepared [`FinetuneSplits`] — the
+/// [`compress_and_finetune_jobs`] against prepared [`FinetuneSplits`] — the
 /// inner loop of [`pruning_sweep_jobs`], which shares one set of splits,
 /// one worker team and one scratch across every `(x1, x2)` point.
 pub fn compress_and_finetune_prepared(
@@ -221,7 +194,7 @@ pub fn compress_and_finetune_prepared(
     // effective step sizes on the surviving weights.
     let config = &TrainConfig { lr: config.lr * 0.3, ..config.clone() };
     let dec_mask = ZeroMask::from_zeros(&out.decision);
-    train_classifier_parallel_with(
+    train_classifier(
         &mut out.decision,
         &splits.dec_train,
         &splits.dec_val,
@@ -231,7 +204,7 @@ pub fn compress_and_finetune_prepared(
         pool,
     );
     let cal_mask = ZeroMask::from_zeros(&out.calibrator);
-    train_regressor_parallel_with(
+    train_regressor(
         &mut out.calibrator,
         &splits.cal_train,
         &splits.cal_val,
@@ -254,22 +227,9 @@ pub fn quantize_model(model: &CombinedModel) -> CombinedModel {
     out
 }
 
-/// Sweeps `(x1, x2)` pruning parameters over a trained model, evaluating
-/// each pruned variant on the dataset — the "pruning" series of Fig. 3.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `params` is empty.
-pub fn pruning_sweep(
-    model: &CombinedModel,
-    dataset: &DvfsDataset,
-    params: &[(f32, f32)],
-    finetune: &TrainConfig,
-) -> Vec<CompressionPoint> {
-    pruning_sweep_jobs(model, dataset, params, finetune, 1)
-}
-
-/// [`pruning_sweep`] with the recovery SGD running on `jobs` workers. The
+/// Sweeps `(x1, x2)` pruning parameters over a trained model, fine-tuning
+/// each pruned variant with the recovery SGD on `jobs` workers and
+/// evaluating it on the dataset — the "pruning" series of Fig. 3. The
 /// fine-tune splits and the evaluation datasets are derived **once** (they
 /// depend only on the unpruned model and the dataset, never on the pruning
 /// parameters) and shared by every `(x1, x2)` point, as are the worker
@@ -277,7 +237,8 @@ pub fn pruning_sweep(
 ///
 /// # Panics
 ///
-/// As [`pruning_sweep`].
+/// Panics if `params` is empty or where [`FinetuneSplits::try_prepare`]
+/// returns an error.
 pub fn pruning_sweep_jobs(
     model: &CombinedModel,
     dataset: &DvfsDataset,
@@ -322,7 +283,7 @@ pub fn pruning_sweep_jobs(
 mod tests {
     use super::*;
     use crate::datagen::RawSample;
-    use crate::train::{evaluate, train_combined};
+    use crate::train::{evaluate, train_combined_jobs};
     use gpu_sim::{CounterId, EpochCounters};
 
     fn tiny_dataset(n: usize) -> DvfsDataset {
@@ -356,12 +317,13 @@ mod tests {
     #[test]
     fn layerwise_sweep_orders_flops_by_size() {
         let data = tiny_dataset(120);
-        let pts = layerwise_sweep(
+        let pts = layerwise_sweep_jobs(
             &data,
             &FeatureSet::refined(),
             &[(1, 6), (2, 12), (3, 20)],
             6,
             &quick_config(),
+            1,
         );
         assert_eq!(pts.len(), 3);
         assert!(pts[0].flops < pts[1].flops);
@@ -375,16 +337,17 @@ mod tests {
     #[test]
     fn pruning_reduces_sparse_flops_monotonically_in_x1() {
         let data = tiny_dataset(120);
-        let (model, _) = train_combined(
+        let (model, _) = train_combined_jobs(
             &data,
             &FeatureSet::refined(),
             &ModelArch::paper_compressed(),
             6,
             &quick_config(),
             0.25,
+            1,
         );
-        let pts =
-            pruning_sweep(&model, &data, &[(0.2, 0.95), (0.5, 0.95), (0.8, 0.95)], &quick_config());
+        let params = [(0.2, 0.95), (0.5, 0.95), (0.8, 0.95)];
+        let pts = pruning_sweep_jobs(&model, &data, &params, &quick_config(), 1);
         assert!(pts[0].flops >= pts[1].flops);
         assert!(pts[1].flops >= pts[2].flops);
     }
@@ -392,13 +355,14 @@ mod tests {
     #[test]
     fn quantization_keeps_decisions_and_sparsity() {
         let data = tiny_dataset(120);
-        let (model, _) = train_combined(
+        let (model, _) = train_combined_jobs(
             &data,
             &FeatureSet::refined(),
             &ModelArch::paper_compressed(),
             6,
             &quick_config(),
             0.25,
+            1,
         );
         let pruned = compress_model(&model, 0.5, 0.9);
         let quantized = quantize_model(&pruned);
@@ -418,10 +382,10 @@ mod tests {
         let data = tiny_dataset(100);
         let cfg = TrainConfig { epochs: 4, ..TrainConfig::default() };
         let features = FeatureSet::refined();
-        let serial_layers = layerwise_sweep(&data, &features, &[(1, 6), (2, 10)], 6, &cfg);
+        let serial_layers = layerwise_sweep_jobs(&data, &features, &[(1, 6), (2, 10)], 6, &cfg, 1);
         let (model, _) =
-            train_combined(&data, &features, &ModelArch::paper_compressed(), 6, &cfg, 0.25);
-        let serial_prune = pruning_sweep(&model, &data, &[(0.3, 0.95), (0.6, 0.95)], &cfg);
+            train_combined_jobs(&data, &features, &ModelArch::paper_compressed(), 6, &cfg, 0.25, 1);
+        let serial_prune = pruning_sweep_jobs(&model, &data, &[(0.3, 0.95), (0.6, 0.95)], &cfg, 1);
         for jobs in [2usize, 4] {
             let layers = layerwise_sweep_jobs(&data, &features, &[(1, 6), (2, 10)], 6, &cfg, jobs);
             assert_eq!(serial_layers, layers, "layerwise sweep diverged at {jobs} workers");
@@ -433,13 +397,14 @@ mod tests {
     #[test]
     fn compress_model_preserves_io_shapes() {
         let data = tiny_dataset(80);
-        let (model, _) = train_combined(
+        let (model, _) = train_combined_jobs(
             &data,
             &FeatureSet::refined(),
             &ModelArch::paper_full(),
             6,
             &quick_config(),
             0.25,
+            1,
         );
         let pruned = compress_model(&model, 0.6, 0.9);
         assert_eq!(pruned.decision.input_size(), model.decision.input_size());

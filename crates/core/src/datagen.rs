@@ -99,7 +99,7 @@ pub enum LabelingMode {
 ///
 /// # Examples
 ///
-/// See [`generate`] and the `train_pipeline` example binary.
+/// See [`generate_suite_with`] and the `train_pipeline` example binary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DvfsDataset {
     /// The samples.
@@ -513,43 +513,19 @@ fn run_replay(
     samples
 }
 
-/// Runs the Fig. 2 methodology on one benchmark, returning its samples.
-/// Replays fan out over one worker per core; see [`generate_with_jobs`].
+/// Runs the Fig. 2 methodology on one workload, returning its samples,
+/// with the replays fanned out over `jobs` workers (`0` = one per core, `1`
+/// = fully sequential). The result is byte-identical for every worker
+/// count: replays are deterministic given the breakpoint snapshot, and
+/// samples are assembled in (breakpoint, operating point, cluster) order
+/// regardless of which worker ran which replay. A benchmark sweep goes
+/// through [`generate_suite_with`], which gives each benchmark these same
+/// bytes.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (see
 /// [`GpuConfig::validate`]).
-pub fn generate(benchmark: &Benchmark, cfg: &GpuConfig, dg: &DataGenConfig) -> DvfsDataset {
-    generate_with_jobs(benchmark, cfg, dg, 0)
-}
-
-/// [`generate`] with an explicit worker count (`0` = one per core, `1` =
-/// fully sequential). The result is byte-identical for every worker count:
-/// replays are deterministic given the breakpoint snapshot, and samples are
-/// assembled in (breakpoint, operating point, cluster) order regardless of
-/// which worker ran which replay.
-pub fn generate_with_jobs(
-    benchmark: &Benchmark,
-    cfg: &GpuConfig,
-    dg: &DataGenConfig,
-    jobs: usize,
-) -> DvfsDataset {
-    generate_workload_jobs(benchmark.name(), benchmark.workload().clone(), cfg, dg, jobs)
-}
-
-/// [`generate`] for a bare workload.
-pub fn generate_workload(
-    name: &str,
-    workload: Workload,
-    cfg: &GpuConfig,
-    dg: &DataGenConfig,
-) -> DvfsDataset {
-    generate_workload_jobs(name, workload, cfg, dg, 0)
-}
-
-/// [`generate_workload`] with an explicit worker count (see
-/// [`generate_with_jobs`]).
 pub fn generate_workload_jobs(
     name: &str,
     workload: Workload,
@@ -567,30 +543,6 @@ pub fn generate_workload_jobs(
             run_replay(name, cfg, dg, &specs[spec_idx], op_index)
         });
     DvfsDataset { samples: per_job.concat(), ..DvfsDataset::default() }
-}
-
-/// Runs data generation over a whole benchmark suite with global fan-out:
-/// reference timelines run in parallel across benchmarks, then every
-/// (benchmark, breakpoint, operating point) replay becomes one job on the
-/// shared compute pool, so a long benchmark's replays keep all
-/// workers busy while short benchmarks finish. Returns one dataset per
-/// benchmark, in input order, each byte-identical to a sequential
-/// [`generate`] run on that benchmark.
-///
-/// The replay cache, resume and fault tolerance live on
-/// [`generate_suite_with`]; this wrapper is the plain fail-fast path.
-pub fn generate_suite(
-    benchmarks: &[Benchmark],
-    cfg: &GpuConfig,
-    dg: &DataGenConfig,
-    jobs: usize,
-) -> Vec<DvfsDataset> {
-    match generate_suite_with(benchmarks, cfg, dg, &SuiteOptions::new(jobs)) {
-        Ok(outcome) => outcome.datasets,
-        // Unreachable without a replay cache (the only fallible option),
-        // kept as a loud failure rather than an `unwrap` in case that changes.
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Knobs for a resilient [`generate_suite_with`] sweep.
@@ -627,8 +579,15 @@ pub struct SuiteOutcome {
     pub faults: FaultReport,
 }
 
-/// [`generate_suite`] with a replay cache (and so resume) and fault
-/// tolerance.
+/// Runs data generation over a whole benchmark suite with global fan-out:
+/// reference timelines run in parallel across benchmarks, then every
+/// (benchmark, breakpoint, operating point) replay becomes one job on the
+/// shared compute pool of `options.jobs` workers, so a long benchmark's
+/// replays keep all workers busy while short benchmarks finish. Returns one
+/// dataset per benchmark, in input order, each byte-identical to a
+/// sequential [`generate_workload_jobs`] run on that benchmark — with a
+/// replay cache (and so resume) and fault tolerance when `options` ask for
+/// them.
 ///
 /// Phase 1 (reference timelines) is recomputed deterministically even on
 /// resume — it is cheap relative to phase 2 and seeds identical replay
@@ -791,7 +750,7 @@ mod tests {
     fn generates_samples_for_every_op_and_cluster() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let data = generate_workload("compute", compute_workload(), &cfg, &dg);
+        let data = generate_workload_jobs("compute", compute_workload(), &cfg, &dg, 0);
         assert!(!data.is_empty());
         // Every operating point appears as a label.
         for op in 0..cfg.vf_table.len() {
@@ -809,7 +768,7 @@ mod tests {
     fn default_point_has_near_zero_loss() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let data = generate_workload("compute", compute_workload(), &cfg, &dg);
+        let data = generate_workload_jobs("compute", compute_workload(), &cfg, &dg, 0);
         let default_idx = cfg.vf_table.default_index();
         for s in data.samples.iter().filter(|s| s.op_index == default_idx) {
             assert!(
@@ -824,7 +783,7 @@ mod tests {
     fn compute_bound_loss_grows_as_frequency_drops() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let data = generate_workload("compute", compute_workload(), &cfg, &dg);
+        let data = generate_workload_jobs("compute", compute_workload(), &cfg, &dg, 0);
         let mean_loss = |op: usize| {
             let v: Vec<f64> = data
                 .samples
@@ -850,8 +809,8 @@ mod tests {
     fn memory_bound_loss_is_smaller_than_compute_bound() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let compute = generate_workload("c", compute_workload(), &cfg, &dg);
-        let memory = generate_workload("m", memory_workload(), &cfg, &dg);
+        let compute = generate_workload_jobs("c", compute_workload(), &cfg, &dg, 0);
+        let memory = generate_workload_jobs("m", memory_workload(), &cfg, &dg, 0);
         let mean_low = |d: &DvfsDataset| {
             let v: Vec<f64> =
                 d.samples.iter().filter(|s| s.op_index == 0).map(|s| s.perf_loss).collect();
@@ -869,7 +828,7 @@ mod tests {
     fn dataset_conversions_have_consistent_shapes() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let data = generate_workload("c", compute_workload(), &cfg, &dg);
+        let data = generate_workload_jobs("c", compute_workload(), &cfg, &dg, 0);
         let fs = FeatureSet::refined();
         let dec = data.decision_data(&fs, cfg.vf_table.len());
         assert_eq!(dec.x.cols(), fs.len() + 1);
@@ -888,7 +847,7 @@ mod tests {
     fn instructions_in_scaling_window_scale_with_frequency_for_compute() {
         let cfg = test_cfg();
         let dg = DataGenConfig { breakpoint_interval_epochs: 5, ..DataGenConfig::default() };
-        let data = generate_workload("c", compute_workload(), &cfg, &dg);
+        let data = generate_workload_jobs("c", compute_workload(), &cfg, &dg, 0);
         let mean_instr = |op: usize| {
             let v: Vec<f64> = data
                 .samples

@@ -1,7 +1,7 @@
 //! Order-preserving parallel maps for embarrassingly parallel jobs.
 //!
 //! Data generation replays hundreds of independent millisecond-scale
-//! simulation jobs ([`crate::generate_workload`]), and the benchmark
+//! simulation jobs ([`crate::generate_workload_jobs`]), and the benchmark
 //! binaries fan governor comparisons out across benchmarks. Both funnel
 //! through [`parallel_map_indexed`], a thin shell over the workspace's one
 //! compute pool, [`tinynn::par::Pool`]: every call runs on a team sized to

@@ -24,8 +24,8 @@
 use gpu_sim::{CounterCategory, CounterId};
 use serde::{Deserialize, Serialize};
 use tinynn::{
-    accuracy, column_importance, splitmix64, train_classifier_parallel_with, ClassificationData,
-    Matrix, Mlp, Normalizer, Pool, TrainConfig, TrainScratch,
+    accuracy, column_importance, splitmix64, train_classifier, ClassificationData, Matrix, Mlp,
+    Normalizer, Pool, TrainConfig, TrainScratch,
 };
 
 use crate::datagen::DvfsDataset;
@@ -46,7 +46,8 @@ pub struct FeatureSelection {
     pub selected_accuracy: f64,
 }
 
-/// Tuning knobs for [`select_features_with`].
+/// Tuning knobs for [`select_features_with`]; the default is serial with
+/// three repeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RfeOptions {
     /// Worker threads for both the SGD gradient shards and the per-column
@@ -101,32 +102,15 @@ fn train_and_score(
     sizes.extend(&arch.decision_hidden);
     sizes.push(data.num_classes);
     let mut mlp = Mlp::new(&sizes, &mut rng);
-    let report =
-        train_classifier_parallel_with(&mut mlp, &train, &val, config, None, scratch, pool);
+    let report = train_classifier(&mut mlp, &train, &val, config, None, scratch, pool);
     (mlp, norm, val, report.best_metric)
 }
 
 /// Runs RFE on the Decision-maker task, keeping `keep_indirect` indirect
 /// features plus the direct PPC feature — reproducing Table I (which keeps
-/// four indirect features: IPC, MH, MH\L, L1CRM). Serial, default repeats;
-/// see [`select_features_with`] for the tunable version.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `keep_indirect` is not smaller than
-/// the candidate count.
-pub fn select_features(
-    dataset: &DvfsDataset,
-    num_ops: usize,
-    keep_indirect: usize,
-    config: &TrainConfig,
-) -> FeatureSelection {
-    select_features_with(dataset, num_ops, keep_indirect, config, &RfeOptions::default())
-}
-
-/// [`select_features`] with explicit [`RfeOptions`]: the per-column
-/// importance fan-out runs on `opts.jobs` workers and averages
-/// `opts.importance_repeats` shuffles per column.
+/// four indirect features: IPC, MH, MH\L, L1CRM). The retrains and the
+/// per-column importance fan-out run on `opts.jobs` workers, and each
+/// column's importance averages `opts.importance_repeats` shuffles.
 ///
 /// Per-stage seeds are derived with [`splitmix64`], so the selection is a
 /// pure function of `(dataset, num_ops, keep_indirect, config, repeats)` —
@@ -265,7 +249,7 @@ mod tests {
     fn selection_keeps_signal_features() {
         let data = signal_dataset(240);
         let cfg = TrainConfig { epochs: 8, ..TrainConfig::default() };
-        let sel = select_features(&data, 6, 4, &cfg);
+        let sel = select_features_with(&data, 6, 4, &cfg, &RfeOptions::default());
         assert_eq!(sel.selected.len(), 5, "4 indirect + PPC");
         let names = sel.selected.names();
         assert!(names.contains(&"power_total_w"), "PPC always kept");

@@ -5,17 +5,17 @@
 //! decision/calibrator datasets once, and [`train_prepared`] trains a model
 //! of a given architecture against those borrowed splits — the layer-wise
 //! and pruning sweeps in [`crate::compress`] call it in a loop without
-//! re-deriving (or cloning) the dataset per retrain. [`train_combined`] is
-//! the one-shot composition of the two, and [`train_combined_jobs`] runs
-//! the SGD minibatch fan-out on a worker pool; results are byte-identical
-//! at any worker count (see [`tinynn::train_classifier_parallel_with`]).
+//! re-deriving (or cloning) the dataset per retrain. [`train_combined_jobs`]
+//! is the one-shot composition of the two, with the SGD minibatch fan-out
+//! on `jobs` workers; results are byte-identical at any worker count (see
+//! [`tinynn::train_classifier`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tinynn::{
-    accuracy, mape, splitmix64, train_classifier_parallel_with, train_regressor_parallel_with,
-    ClassificationData, Mlp, Normalizer, Pool, RegressionData, TrainConfig, TrainScratch,
+    accuracy, mape, splitmix64, train_classifier, train_regressor, ClassificationData, Mlp,
+    Normalizer, Pool, RegressionData, TrainConfig, TrainScratch,
 };
 
 use crate::datagen::DvfsDataset;
@@ -67,9 +67,10 @@ impl PreparedSplits {
     /// # Errors
     ///
     /// Returns [`SsmdvfsError::Stage`] (stage `train`) if the dataset is
-    /// empty or either head's derived dataset has fewer than two rows, too
-    /// few to fill both a training and a validation split. The check runs
-    /// before anything is normalized or trained.
+    /// empty, if either head's derived dataset has fewer than two rows, too
+    /// few to fill both a training and a validation split, or if every
+    /// calibrator validation target is zero (idle windows), where MAPE is
+    /// undefined. The checks run before anything is trained.
     ///
     /// # Panics
     ///
@@ -98,6 +99,7 @@ impl PreparedSplits {
         let cal_norm = Normalizer::fit(&cal_data.x);
         let cal_data = RegressionData::new(cal_norm.transform(&cal_data.x), cal_data.y);
         let (cal_train, cal_val) = cal_data.split(val_frac, &mut rng);
+        check_val_targets("train", &cal_val)?;
         Ok(PreparedSplits {
             features: features.clone(),
             num_ops,
@@ -161,6 +163,29 @@ pub(crate) fn check_head_rows(
     ))
 }
 
+/// Checks that the calibrator's validation split has a target [`mape`]
+/// can use (`|t| ≥ 1e-6`); early stopping reads that metric every epoch.
+/// `stage` names the pipeline stage in the error.
+///
+/// # Errors
+///
+/// Returns [`SsmdvfsError::Stage`] if every validation target is zero.
+pub(crate) fn check_val_targets(
+    stage: &'static str,
+    val: &RegressionData,
+) -> Result<(), SsmdvfsError> {
+    if val.y.iter().any(|t| t.abs() >= 1e-6) {
+        return Ok(());
+    }
+    Err(SsmdvfsError::stage(
+        stage,
+        format!(
+            "all {} calibrator validation target(s) are zero (idle windows), so MAPE is undefined",
+            val.y.len()
+        ),
+    ))
+}
+
 /// Trains a [`CombinedModel`] of the given architecture against prepared
 /// splits. Weight init is seeded from `config.seed`, SGD shards fan out on
 /// `pool`, and every retrain reuses `scratch` — the inner loop of the
@@ -189,7 +214,7 @@ pub fn train_prepared(
     dec_sizes.extend(&arch.decision_hidden);
     dec_sizes.push(prep.num_ops);
     let mut decision = Mlp::new(&dec_sizes, &mut rng);
-    let dec_report = train_classifier_parallel_with(
+    let dec_report = train_classifier(
         &mut decision,
         &prep.dec_train,
         &prep.dec_val,
@@ -204,7 +229,7 @@ pub fn train_prepared(
     cal_sizes.extend(&arch.calibrator_hidden);
     cal_sizes.push(1);
     let mut calibrator = Mlp::new(&cal_sizes, &mut rng);
-    let cal_report = train_regressor_parallel_with(
+    let cal_report = train_regressor(
         &mut calibrator,
         &prep.cal_train,
         &prep.cal_val,
@@ -236,29 +261,14 @@ pub fn train_prepared(
 
 /// Trains a [`CombinedModel`] of the given architecture on a generated
 /// dataset, holding out `val_frac` of the samples for early stopping and
-/// for the reported metrics. Serial; see [`train_combined_jobs`].
+/// for the reported metrics, with the SGD minibatch fan-out running on
+/// `jobs` workers (`0` = one per core). The trained model is
+/// byte-identical at any `jobs`.
 ///
 /// # Panics
 ///
-/// Panics if the dataset is empty or `num_ops < 2`.
-pub fn train_combined(
-    dataset: &DvfsDataset,
-    features: &FeatureSet,
-    arch: &ModelArch,
-    num_ops: usize,
-    config: &TrainConfig,
-    val_frac: f64,
-) -> (CombinedModel, TrainSummary) {
-    train_combined_jobs(dataset, features, arch, num_ops, config, val_frac, 1)
-}
-
-/// [`train_combined`] with the SGD minibatch fan-out running on `jobs`
-/// workers (`0` = one per core). The trained model is byte-identical at
-/// any `jobs`.
-///
-/// # Panics
-///
-/// As [`train_combined`].
+/// Panics where [`PreparedSplits::try_prepare`] returns an error, or if
+/// `num_ops < 2`.
 pub fn train_combined_jobs(
     dataset: &DvfsDataset,
     features: &FeatureSet,
@@ -370,13 +380,14 @@ mod tests {
     fn training_learns_the_synthetic_rule() {
         let data = synthetic_dataset(600);
         let cfg = TrainConfig { epochs: 80, ..TrainConfig::default() };
-        let (model, summary) = train_combined(
+        let (model, summary) = train_combined_jobs(
             &data,
             &FeatureSet::refined(),
             &ModelArch::paper_compressed(),
             6,
             &cfg,
             0.25,
+            1,
         );
         assert!(
             summary.decision_accuracy > 0.5,
@@ -396,8 +407,15 @@ mod tests {
     fn paper_full_arch_flops_are_near_the_reported_6960() {
         let data = synthetic_dataset(200);
         let cfg = TrainConfig { epochs: 2, ..TrainConfig::default() };
-        let (model, _) =
-            train_combined(&data, &FeatureSet::refined(), &ModelArch::paper_full(), 6, &cfg, 0.25);
+        let (model, _) = train_combined_jobs(
+            &data,
+            &FeatureSet::refined(),
+            &ModelArch::paper_full(),
+            6,
+            &cfg,
+            0.25,
+            1,
+        );
         // 5 features + preset, five/four 20-wide hidden layers.
         let flops = model.flops();
         assert!(
@@ -410,13 +428,14 @@ mod tests {
     fn evaluate_matches_training_metrics_scale() {
         let data = synthetic_dataset(400);
         let cfg = TrainConfig { epochs: 40, ..TrainConfig::default() };
-        let (model, _) = train_combined(
+        let (model, _) = train_combined_jobs(
             &data,
             &FeatureSet::refined(),
             &ModelArch::paper_compressed(),
             6,
             &cfg,
             0.25,
+            1,
         );
         let (acc, m) = evaluate(&model, &data);
         assert!((0.0..=1.0).contains(&acc));
@@ -429,7 +448,8 @@ mod tests {
         let cfg = TrainConfig { epochs: 6, ..TrainConfig::default() };
         let features = FeatureSet::refined();
         let arch = ModelArch::paper_compressed();
-        let (serial, serial_summary) = train_combined(&data, &features, &arch, 6, &cfg, 0.25);
+        let (serial, serial_summary) =
+            train_combined_jobs(&data, &features, &arch, 6, &cfg, 0.25, 1);
         for jobs in [2usize, 4] {
             let (parallel, summary) =
                 train_combined_jobs(&data, &features, &arch, 6, &cfg, 0.25, jobs);

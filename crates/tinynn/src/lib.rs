@@ -8,8 +8,10 @@
 //!
 //! * [`Matrix`], [`Dense`], [`Mlp`] — the model itself, with dense and
 //!   sparse FLOPs accounting;
-//! * [`cross_entropy`], [`mse`], [`Adam`], [`Sgd`], [`train_classifier`],
-//!   [`train_regressor`] — offline supervised training;
+//! * [`train_classifier`], [`train_regressor`] — offline supervised
+//!   training: one sharded epoch loop for both heads, with the
+//!   [`cross_entropy_shard_into`] and [`mse_shard_into`] losses and
+//!   [`Adam`];
 //! * [`prune_magnitude`], [`prune_neurons`], [`prune_two_stage`] — the
 //!   paper's two-stage compression;
 //! * [`QuantizedMlp`], [`Int8Net`] — INT8 weight quantization and the
@@ -19,7 +21,7 @@
 //! * [`Normalizer`], [`ClassificationData`], [`RegressionData`] — dataset
 //!   plumbing shared by offline training and the runtime controller;
 //! * [`Pool`] — the workspace's one compute pool, a persistent worker team
-//!   behind the sharded training loops, RFE and `ssmdvfs::exec`.
+//!   behind the sharded training loop, RFE and `ssmdvfs::exec`.
 //!
 //! # Examples
 //!
@@ -28,7 +30,8 @@
 //! ```
 //! use rand::SeedableRng;
 //! use tinynn::{
-//!     prune_two_stage, train_classifier, ClassificationData, Matrix, Mlp, TrainConfig,
+//!     prune_two_stage, train_classifier, ClassificationData, Matrix, Mlp, Pool, TrainConfig,
+//!     TrainScratch,
 //! };
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -37,7 +40,8 @@
 //! let data = ClassificationData::new(x, vec![0, 1, 0, 1], 2);
 //! let (train, val) = data.split(0.5, &mut rng);
 //! let mut mlp = Mlp::new(&[2, 8, 2], &mut rng);
-//! train_classifier(&mut mlp, &train, &val, &TrainConfig::default());
+//! let (config, mut scratch) = (TrainConfig::default(), TrainScratch::new());
+//! train_classifier(&mut mlp, &train, &val, &config, None, &mut scratch, &Pool::serial());
 //! let compact = prune_two_stage(&mlp, 0.5, 0.9);
 //! assert!(compact.sparse_flops() <= mlp.flops());
 //! ```
@@ -58,20 +62,18 @@ mod train;
 
 pub use data::{ClassificationData, Normalizer, RegressionData};
 pub use loss::{
-    cross_entropy, cross_entropy_into, cross_entropy_shard_into, cross_entropy_weighted,
-    cross_entropy_weighted_into, cross_entropy_weighted_shard_into, mean_class_weight, mse,
-    mse_into, mse_shard_into, softmax, softmax_in_place,
+    cross_entropy_shard_into, cross_entropy_weighted_shard_into, mean_class_weight, mse_shard_into,
+    softmax, softmax_in_place,
 };
 pub use matrix::Matrix;
 pub use metrics::{accuracy, argmax, confusion_matrix, mape, mape_counted, mean_class_distance};
 pub use mlp::{Activation, Dense, ForwardCache, Gradients, Mlp};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use par::Pool;
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
 pub use quant::{Int8Net, QuantizedMlp};
 pub use select::{column_importance, splitmix64};
 pub use train::{
-    grad_shards, shard_span, train_classifier, train_classifier_masked,
-    train_classifier_parallel_with, train_classifier_with, train_regressor, train_regressor_masked,
-    train_regressor_parallel_with, train_regressor_with, TrainConfig, TrainReport, TrainScratch,
+    grad_shards, shard_span, train_classifier, train_regressor, TrainConfig, TrainReport,
+    TrainScratch,
 };

@@ -113,7 +113,7 @@ pub struct Gradients {
 
 impl Gradients {
     /// An empty gradient set whose buffers grow on first use (see
-    /// [`Mlp::backward_into`]).
+    /// [`Mlp::backward_batch_shard_into`]).
     pub fn empty() -> Gradients {
         Gradients { layers: Vec::new() }
     }
@@ -167,16 +167,18 @@ impl Gradients {
     }
 }
 
-/// Cached intermediate activations from [`Mlp::forward_train`] /
-/// [`Mlp::forward_into`]. Reusable: the per-layer matrices are resized in
-/// place, so a warm cache makes repeated forward passes allocation-free.
+/// Cached intermediate activations of a forward pass ([`Mlp::forward_into`],
+/// or the training loop's shard forward), read back by
+/// [`Mlp::backward_batch_shard_into`]. Reusable: the per-layer matrices are
+/// resized in place, so a warm cache makes repeated forward passes
+/// allocation-free.
 #[derive(Debug, Clone)]
 pub struct ForwardCache {
     /// `activations[0]` is the input; `activations[i+1]` is layer `i`'s
     /// output.
     pub activations: Vec<Matrix>,
     /// Every layer's transposed weights (`in × out`), re-laid by
-    /// [`Mlp::forward_cached`] on each call. The training loops keep one
+    /// [`Mlp::forward_into`] on each call. The training loop keeps one
     /// shared copy per optimizer step instead (`Mlp::forward_transposed`).
     pub(crate) wt: Vec<Matrix>,
 }
@@ -188,10 +190,9 @@ impl ForwardCache {
     }
 
     /// Mutable access to the input slot (`activations[0]`), creating it if
-    /// the cache is fresh. Callers gather a minibatch directly into this
-    /// buffer (e.g. via [`Matrix::select_rows_into`]) and then run
-    /// [`Mlp::forward_cached`].
-    pub fn input_mut(&mut self) -> &mut Matrix {
+    /// the cache is fresh. The training loop gathers each shard directly
+    /// into this buffer (via [`Matrix::select_rows_into`]).
+    pub(crate) fn input_mut(&mut self) -> &mut Matrix {
         if self.activations.is_empty() {
             self.activations.push(Matrix::zeros(0, 0));
         }
@@ -306,44 +307,30 @@ impl Mlp {
         self.forward(&Matrix::from_vec(1, x.len(), x.to_vec())).as_slice().to_vec()
     }
 
-    /// Forward pass that keeps every intermediate activation for
-    /// [`Mlp::backward`].
-    pub fn forward_train(&self, x: &Matrix) -> ForwardCache {
-        let mut cache = ForwardCache::empty();
-        self.forward_into(x, &mut cache);
-        cache
-    }
-
-    /// [`Mlp::forward_train`] into a reusable cache: `x` is copied into the
-    /// input slot and every layer writes into a recycled activation matrix,
-    /// so a warm cache runs the whole pass without heap allocation.
+    /// Forward pass that keeps every intermediate activation in a reusable
+    /// cache: `x` is copied into the input slot, every layer's weights are
+    /// re-laid into the cache's transposed copy, and every layer writes
+    /// into a recycled activation matrix, so a warm cache runs the whole
+    /// pass without heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong width.
     pub fn forward_into(&self, x: &Matrix, cache: &mut ForwardCache) {
         let input = cache.input_mut();
         input.reshape(x.rows(), x.cols());
         input.as_mut_slice().copy_from_slice(x.as_slice());
-        self.forward_cached(cache);
-    }
-
-    /// Runs the layers on whatever the caller placed in
-    /// [`ForwardCache::input_mut`] — the zero-copy variant of
-    /// [`Mlp::forward_into`]. Re-lays every layer's weights into the
-    /// cache first; the training loops, which run many passes between
-    /// weight updates, transpose once per update instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache input is missing or has the wrong width.
-    pub fn forward_cached(&self, cache: &mut ForwardCache) {
         let ForwardCache { activations, wt } = cache;
         self.transpose_weights_into(wt);
         self.forward_layers(wt, activations);
     }
 
-    /// [`Mlp::forward_cached`] with every layer's weights already
+    /// The layers run on whatever the caller placed in
+    /// [`ForwardCache::input_mut`], with every layer's weights already
     /// transposed into `wt` by [`Mlp::transpose_weights_into`] — the
-    /// training loops' shard and validation forward, which share one
+    /// training loop's shard and validation forward, which share one
     /// transposed copy per optimizer step. Bit-identical to
-    /// [`Mlp::forward_cached`] as long as `wt` is current.
+    /// [`Mlp::forward_into`] as long as `wt` is current.
     ///
     /// # Panics
     ///
@@ -373,43 +360,19 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates `d_out` (gradient of the loss w.r.t. the network
-    /// output, same shape as the output batch) through the cached pass.
-    pub fn backward(&self, cache: &ForwardCache, d_out: &Matrix) -> Gradients {
-        let mut grads = Gradients::empty();
-        let mut delta = d_out.clone();
-        let mut delta_tmp = Matrix::zeros(0, 0);
-        self.backward_into(cache, &mut delta, &mut delta_tmp, &mut grads);
-        grads
-    }
-
-    /// [`Mlp::backward`] through caller-owned buffers — allocation-free
-    /// once warm. On entry `delta` holds `d_out`; it is consumed as the
-    /// ping-pong backprop buffer (with `delta_tmp` as its partner) and
+    /// Backpropagates the shard's loss gradient through the cached pass
+    /// into *raw per-sample sums* (`dW = deltaᵀ @ input`, `db = Σ delta`).
+    /// On entry `delta` holds the gradient of the loss w.r.t. the network
+    /// output (same shape as the output batch); it is consumed as the
+    /// ping-pong backprop buffer (with `delta_tmp` as its partner), and
     /// `grads` receives `(dW, db)` per layer, buffers resized in place.
     ///
-    /// # Panics
-    ///
-    /// Panics if `delta` does not match the cached output shape.
-    pub fn backward_into(
-        &self,
-        cache: &ForwardCache,
-        delta: &mut Matrix,
-        delta_tmp: &mut Matrix,
-        grads: &mut Gradients,
-    ) {
-        let batch = delta.rows() as f32;
-        self.backward_impl(cache, delta, delta_tmp, grads, Some(batch));
-    }
-
-    /// [`Mlp::backward_into`] without the batch-mean normalization: `grads`
-    /// receives *raw per-sample sums* (`dW = deltaᵀ @ input`, `db = Σ
-    /// delta`). This is the per-shard kernel of the data-parallel training
-    /// path — each shard backpropagates its row range independently, the
-    /// caller folds the shard sums in fixed index order
-    /// ([`Gradients::accumulate_into`]) and divides by the *full* batch size
-    /// once ([`Gradients::div_scalar`]), so the reduced gradient is
-    /// identical whether one worker or many computed the shards.
+    /// This is the per-shard kernel of the training loop: each shard
+    /// backpropagates its row range independently, the caller folds the
+    /// shard sums in fixed index order ([`Gradients::accumulate_into`]) and
+    /// divides by the *full* batch size once ([`Gradients::div_scalar`]),
+    /// so the reduced gradient is identical whether one worker or many
+    /// computed the shards.
     ///
     /// # Panics
     ///
@@ -420,21 +383,6 @@ impl Mlp {
         delta: &mut Matrix,
         delta_tmp: &mut Matrix,
         grads: &mut Gradients,
-    ) {
-        self.backward_impl(cache, delta, delta_tmp, grads, None);
-    }
-
-    /// Shared backprop body. `normalizer = Some(batch)` divides both `dW`
-    /// and `db` contributions by `batch` (the historical
-    /// [`Mlp::backward_into`] arithmetic, preserved bit-for-bit);
-    /// `None` leaves raw sums for the shard reduction.
-    fn backward_impl(
-        &self,
-        cache: &ForwardCache,
-        delta: &mut Matrix,
-        delta_tmp: &mut Matrix,
-        grads: &mut Gradients,
-        normalizer: Option<f32>,
     ) {
         assert_eq!(
             (delta.rows(), delta.cols()),
@@ -452,25 +400,13 @@ impl Mlp {
             }
             let input = &cache.activations[l];
             let (dw, db) = &mut grads.layers[l];
-            // dW = deltaᵀ @ input [/ batch]  (out x in)
+            // dW = deltaᵀ @ input  (out x in)
             delta.transposed_matmul_into(input, dw);
-            if let Some(batch) = normalizer {
-                dw.map_inplace(|v| v / batch);
-            }
             db.clear();
             db.resize(layer.output_size(), 0.0);
             for drow in delta.as_slice().chunks_exact(layer.output_size()) {
-                match normalizer {
-                    Some(batch) => {
-                        for (b, &d) in db.iter_mut().zip(drow) {
-                            *b += d / batch;
-                        }
-                    }
-                    None => {
-                        for (b, &d) in db.iter_mut().zip(drow) {
-                            *b += d;
-                        }
-                    }
+                for (b, &d) in db.iter_mut().zip(drow) {
+                    *b += d;
                 }
             }
             // dL/d(input of layer l) = delta @ W  (batch x in)
@@ -535,6 +471,21 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    /// A forward pass of `x` into a fresh cache.
+    fn cached(mlp: &Mlp, x: &Matrix) -> ForwardCache {
+        let mut cache = ForwardCache::empty();
+        mlp.forward_into(x, &mut cache);
+        cache
+    }
+
+    /// The raw-sum gradients of `d_out` through `cache`, in fresh buffers.
+    fn raw_grads(mlp: &Mlp, cache: &ForwardCache, d_out: &Matrix) -> Gradients {
+        let mut grads = Gradients::empty();
+        let mut delta = d_out.clone();
+        mlp.backward_batch_shard_into(cache, &mut delta, &mut Matrix::zeros(0, 0), &mut grads);
+        grads
+    }
+
     #[test]
     fn shapes_flow_through() {
         let mlp = Mlp::new(&[5, 20, 20, 6], &mut rng());
@@ -576,9 +527,10 @@ mod tests {
             let y = m.forward(&x);
             y.as_slice().iter().map(|v| 0.5 * (*v as f64) * (*v as f64)).sum()
         };
-        let cache = mlp.forward_train(&x);
+        let cache = cached(&mlp, &x);
         let d_out = cache.output().clone();
-        let grads = mlp.backward(&cache, &d_out);
+        let mut grads = raw_grads(&mlp, &cache, &d_out);
+        grads.div_scalar(x.rows() as f32);
 
         let eps = 1e-3f32;
         let batch = x.rows() as f64;
@@ -662,16 +614,16 @@ mod tests {
     fn backward_into_reuses_buffers_bit_identically() {
         let mlp = Mlp::new(&[3, 7, 2], &mut rng());
         let x = Matrix::from_rows(&[&[0.4, -0.2, 0.9], &[0.1, 0.8, -0.5]]);
-        let cache = mlp.forward_train(&x);
+        let cache = cached(&mlp, &x);
         let d_out = cache.output().clone();
-        let fresh = mlp.backward(&cache, &d_out);
+        let fresh = raw_grads(&mlp, &cache, &d_out);
         let mut delta = Matrix::zeros(0, 0);
         let mut delta_tmp = Matrix::zeros(0, 0);
         let mut grads = Gradients::empty();
         for _ in 0..2 {
             delta.reshape(d_out.rows(), d_out.cols());
             delta.as_mut_slice().copy_from_slice(d_out.as_slice());
-            mlp.backward_into(&cache, &mut delta, &mut delta_tmp, &mut grads);
+            mlp.backward_batch_shard_into(&cache, &mut delta, &mut delta_tmp, &mut grads);
             assert_eq!(grads, fresh);
         }
     }
@@ -679,9 +631,8 @@ mod tests {
     #[test]
     fn shard_backward_reduces_to_the_full_gradient() {
         // Raw shard sums folded in fixed order and divided by the batch
-        // size must match the monolithic backward to float tolerance (the
-        // summation orders differ, so equality is approximate), and the dW
-        // of a single whole-batch shard must match bit-for-bit.
+        // size must match one whole-batch shard divided the same way, to
+        // float tolerance (the summation orders differ).
         let mlp = Mlp::new(&[3, 6, 2], &mut rng());
         let x = Matrix::from_rows(&[
             &[0.4, -0.2, 0.9],
@@ -689,37 +640,18 @@ mod tests {
             &[-0.3, 0.5, 0.2],
             &[0.7, -0.6, 0.1],
         ]);
-        let cache = mlp.forward_train(&x);
+        let cache = cached(&mlp, &x);
         let d_out = cache.output().clone();
-        let full = mlp.backward(&cache, &d_out);
-
-        // One shard covering the whole batch.
-        let mut delta = d_out.clone();
-        let mut tmp = Matrix::zeros(0, 0);
-        let mut whole = Gradients::empty();
-        mlp.backward_batch_shard_into(&cache, &mut delta, &mut tmp, &mut whole);
-        let mut reduced = Gradients::empty();
-        reduced.assign_from(&whole);
-        reduced.div_scalar(x.rows() as f32);
-        for ((dw, db), (fw, fb)) in reduced.layers.iter().zip(&full.layers) {
-            for (a, b) in dw.as_slice().iter().zip(fw.as_slice()) {
-                assert_eq!(a, b, "single-shard dW must match backward_into exactly");
-            }
-            for (a, b) in db.iter().zip(fb) {
-                assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()));
-            }
-        }
+        let mut full = raw_grads(&mlp, &cache, &d_out);
+        full.div_scalar(x.rows() as f32);
 
         // Two shards of two rows each, folded in index order.
-        let mut shard_grads = Vec::new();
-        for rows in [[0usize, 1], [2, 3]] {
-            let sx = x.select_rows(&rows);
-            let scache = mlp.forward_train(&sx);
-            let mut sdelta = d_out.select_rows(&rows);
-            let mut sgrads = Gradients::empty();
-            mlp.backward_batch_shard_into(&scache, &mut sdelta, &mut tmp, &mut sgrads);
-            shard_grads.push(sgrads);
-        }
+        let shard_grads: Vec<Gradients> = [[0usize, 1], [2, 3]]
+            .iter()
+            .map(|rows| {
+                raw_grads(&mlp, &cached(&mlp, &x.select_rows(rows)), &d_out.select_rows(rows))
+            })
+            .collect();
         let mut sum = Gradients::empty();
         sum.assign_from(&shard_grads[0]);
         shard_grads[1].accumulate_into(&mut sum);
@@ -741,10 +673,10 @@ mod tests {
         let a = Mlp::new(&[3, 5, 2], &mut r);
         let b = Mlp::new(&[3, 6, 2], &mut r);
         let x = Matrix::from_rows(&[&[0.1, 0.2, 0.3]]);
-        let ca = a.forward_train(&x);
-        let cb = b.forward_train(&x);
-        let ga = a.backward(&ca, &ca.output().clone());
-        let mut gb = b.backward(&cb, &cb.output().clone());
+        let ca = cached(&a, &x);
+        let cb = cached(&b, &x);
+        let ga = raw_grads(&a, &ca, ca.output());
+        let mut gb = raw_grads(&b, &cb, cb.output());
         ga.accumulate_into(&mut gb);
     }
 

@@ -1,60 +1,8 @@
-//! Optimizers: SGD with momentum and Adam.
+//! The Adam optimizer.
 
 use serde::{Deserialize, Serialize};
 
 use crate::mlp::{Gradients, Mlp};
-
-/// A first-order optimizer that applies [`Gradients`] to an [`Mlp`].
-pub trait Optimizer {
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if the gradient shapes do not match the model.
-    fn step(&mut self, mlp: &mut Mlp, grads: &Gradients);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient in [0, 1).
-    pub momentum: f32,
-    velocity: Vec<(Vec<f32>, Vec<f32>)>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Sgd {
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, mlp: &mut Mlp, grads: &Gradients) {
-        if self.velocity.is_empty() {
-            self.velocity = grads
-                .layers
-                .iter()
-                .map(|(dw, db)| (vec![0.0; dw.as_slice().len()], vec![0.0; db.len()]))
-                .collect();
-        }
-        assert_eq!(grads.layers.len(), mlp.layers().len(), "gradient/model layer mismatch");
-        for (l, (dw, db)) in grads.layers.iter().enumerate() {
-            let (vw, vb) = &mut self.velocity[l];
-            let layer = &mut mlp.layers_mut()[l];
-            for ((w, v), g) in layer.w.as_mut_slice().iter_mut().zip(vw).zip(dw.as_slice()) {
-                *v = self.momentum * *v - self.lr * g;
-                *w += *v;
-            }
-            for ((b, v), g) in layer.b.iter_mut().zip(vb).zip(db) {
-                *v = self.momentum * *v - self.lr * g;
-                *b += *v;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba, 2015).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,10 +27,13 @@ impl Adam {
     pub fn new(lr: f32) -> Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, moments: Vec::new() }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, mlp: &mut Mlp, grads: &Gradients) {
+    /// Applies one update step of `grads` to `mlp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gradient shapes do not match the model.
+    pub fn step(&mut self, mlp: &mut Mlp, grads: &Gradients) {
         if self.moments.is_empty() {
             self.moments = grads
                 .layers
@@ -133,38 +84,38 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse;
+    use crate::loss::mse_shard_into;
     use crate::matrix::Matrix;
+    use crate::mlp::ForwardCache;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Train y = 2x with both optimizers; the loss must fall substantially.
-    fn fit(opt: &mut dyn Optimizer) -> f32 {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut mlp = Mlp::new(&[1, 8, 1], &mut rng);
-        let x = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.0], &[0.5], &[1.0]]);
-        let y = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        let mut last = f32::MAX;
-        for _ in 0..400 {
-            let cache = mlp.forward_train(&x);
-            let (loss, d) = mse(cache.output(), &y);
-            let grads = mlp.backward(&cache, &d);
-            opt.step(&mut mlp, &grads);
-            last = loss;
-        }
-        last
-    }
-
-    #[test]
-    fn sgd_converges_on_a_line() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        assert!(fit(&mut opt) < 0.01);
+    /// One batch-mean MSE gradient of `mlp` on `(x, y)`, and the mean loss.
+    fn mse_grads(mlp: &Mlp, x: &Matrix, y: &[f32]) -> (f32, Gradients) {
+        let mut cache = ForwardCache::empty();
+        mlp.forward_into(x, &mut cache);
+        let mut delta = Matrix::zeros(0, 0);
+        let loss = mse_shard_into(cache.output(), y, &mut delta) / y.len() as f64;
+        let mut grads = Gradients::empty();
+        mlp.backward_batch_shard_into(&cache, &mut delta, &mut Matrix::zeros(0, 0), &mut grads);
+        grads.div_scalar(y.len() as f32);
+        (loss as f32, grads)
     }
 
     #[test]
     fn adam_converges_on_a_line() {
+        // Train y = 2x; the loss must fall substantially.
         let mut opt = Adam::new(0.01);
-        assert!(fit(&mut opt) < 0.01);
+        let mut mlp = Mlp::new(&[1, 8, 1], &mut StdRng::seed_from_u64(7));
+        let x = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.0], &[0.5], &[1.0]]);
+        let y = [-2.0, -1.0, 0.0, 1.0, 2.0];
+        let mut last = f32::MAX;
+        for _ in 0..400 {
+            let (loss, grads) = mse_grads(&mlp, &x, &y);
+            opt.step(&mut mlp, &grads);
+            last = loss;
+        }
+        assert!(last < 0.01);
     }
 
     #[test]
@@ -173,9 +124,7 @@ mod tests {
         let mut mlp = Mlp::new(&[2, 3, 1], &mut rng);
         let before = mlp.layers()[0].w.clone();
         let x = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let cache = mlp.forward_train(&x);
-        let (_, d) = mse(cache.output(), &[5.0]);
-        let grads = mlp.backward(&cache, &d);
+        let (_, grads) = mse_grads(&mlp, &x, &[5.0]);
         let mut opt = Adam::new(0.01);
         opt.step(&mut mlp, &grads);
         assert_ne!(before, mlp.layers()[0].w);

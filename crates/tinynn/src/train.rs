@@ -1,11 +1,14 @@
-//! Minibatch training loops for classifiers and regressors.
+//! The minibatch training loop shared by both heads.
 //!
-//! The epoch loops are allocation-free after warm-up: every buffer a batch
+//! [`train_classifier`] and [`train_regressor`] run one epoch loop and one
+//! sharded batch step; a head contributes only its loss kernel, its
+//! validation metric (and whether higher or lower is better) and its
+//! gauges. The loop is allocation-free after warm-up: every buffer a batch
 //! needs — the shuffled index buffer, the gathered minibatch, the forward
 //! cache, the loss gradient, the backprop deltas and the per-layer
 //! gradients — lives in a reusable [`TrainScratch`]. Callers that retrain
-//! many models (RFE, ablations) pass one scratch to the `*_with` variants
-//! and amortize even the warm-up across runs.
+//! many models (RFE, sweeps) pass one scratch to every training and
+//! amortize even the warm-up across runs.
 //!
 //! # Data-parallel gradients, deterministic by construction
 //!
@@ -16,12 +19,11 @@
 //! per-shard gradient sums ([`Mlp::backward_batch_shard_into`]); the shard
 //! sums are then folded in **fixed ascending shard order**
 //! ([`Gradients::accumulate_into`]) and divided by the full batch size
-//! once. This sharded computation *is* the canonical algorithm: the serial
-//! entry points run it inline on a one-worker [`Pool`], and the
-//! `*_parallel_with` variants run the identical shards on a persistent
-//! worker team — so a trained model is byte-identical at any `jobs`
-//! (proptest-enforced), the same determinism contract as every other
-//! parallel stage in this repository.
+//! once. This sharded computation *is* the algorithm: [`Pool::serial`] runs
+//! the shards inline and a larger [`Pool`] runs the identical shards on a
+//! persistent worker team — so a trained model is byte-identical at any
+//! `jobs` (proptest-enforced), the same determinism contract as every
+//! other parallel stage in this repository.
 //!
 //! Validation passes shard the same way; since the forward kernels compute
 //! each output row only from its own input row (ascending-`k`
@@ -51,7 +53,7 @@ use crate::loss::{
 use crate::matrix::Matrix;
 use crate::metrics::{accuracy, mape};
 use crate::mlp::{ForwardCache, Gradients, Mlp};
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::par::Pool;
 use crate::prune::ZeroMask;
 
@@ -293,57 +295,114 @@ fn forward_gathered(
     }
 }
 
-/// One sharded classifier gradient step over `batch` (indices into
-/// `train`): shard forwards + raw backward sums on the pool, fixed-order
-/// reduction into `grads`, mean batch loss returned. Batch-level
-/// statistics (the mean class weight) are hoisted out of the shards so the
-/// partition never changes them.
-#[allow(clippy::too_many_arguments)]
-fn classifier_batch_step(
-    mlp: &Mlp,
-    wt: &[Matrix],
-    train: &ClassificationData,
-    batch: &[usize],
-    class_weights: Option<&[f32]>,
-    pool: &Pool,
-    shards: &mut [ShardScratch],
-    grads: &mut Gradients,
-) -> f32 {
-    let rows = batch.len();
-    let s_count = grad_shards(rows);
-    let weighted =
-        class_weights.map(|w| (w, mean_class_weight(batch.iter().map(|&i| train.y[i]), w)));
-    {
-        let slots = ShardSlots::new(&mut shards[..s_count]);
-        pool.run(s_count, &|s| {
-            // SAFETY: the pool hands each shard index to exactly one worker.
-            let slot = unsafe { &mut *slots.slot_ptr(s) };
-            let (lo, hi) = shard_span(rows, s_count, s);
-            let idx = &batch[lo..hi];
-            train.x.select_rows_into(idx, slot.cache.input_mut());
-            slot.y_cls.clear();
-            slot.y_cls.extend(idx.iter().map(|&i| train.y[i]));
-            mlp.forward_transposed(wt, &mut slot.cache);
-            let ShardScratch { cache, delta, delta_tmp, grads, y_cls, loss, .. } = slot;
-            *loss = match weighted {
-                Some((w, mean_w)) => {
-                    cross_entropy_weighted_shard_into(cache.output(), y_cls, w, mean_w, delta)
-                }
-                None => cross_entropy_shard_into(cache.output(), y_cls, delta),
-            };
-            mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
-        });
-    }
-    reduce_shards(&shards[..s_count], grads, rows);
-    let loss_sum: f64 = shards[..s_count].iter().map(|s| s.loss).sum();
-    (loss_sum / rows as f64) as f32
+/// What differs between the two heads in the one training loop: the
+/// dataset and its labels, the loss kernel, the validation metric and its
+/// direction, and the gauges. Everything else — shuffling, sharding, the
+/// fixed-order reduction, the optimizer step, early stopping — is shared.
+enum Head<'a> {
+    /// Softmax cross-entropy, class-weighted when `weights` is set;
+    /// early-stops on validation accuracy (higher is better).
+    Classifier {
+        train: &'a ClassificationData,
+        val: &'a ClassificationData,
+        weights: Option<Vec<f32>>,
+    },
+    /// Squared error on the first output; early-stops on validation MAPE
+    /// (lower is better).
+    Regressor { train: &'a RegressionData, val: &'a RegressionData },
 }
 
-/// The regressor twin of [`classifier_batch_step`].
-fn regressor_batch_step(
+impl Head<'_> {
+    /// The training and validation inputs.
+    fn inputs(&self) -> (&Matrix, &Matrix) {
+        match self {
+            Head::Classifier { train, val, .. } => (&train.x, &val.x),
+            Head::Regressor { train, val } => (&train.x, &val.x),
+        }
+    }
+
+    /// The class weights and their mean over `batch` (indices into the
+    /// training set) — a whole-batch statistic, hoisted out of the shards
+    /// so the partition never changes it. `None` for an unweighted loss.
+    fn batch_weights(&self, batch: &[usize]) -> Option<(&[f32], f32)> {
+        match self {
+            Head::Classifier { train, weights: Some(w), .. } => {
+                Some((w, mean_class_weight(batch.iter().map(|&i| train.y[i]), w)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Gathers the labels of `idx` into the slot and writes the shard's
+    /// unnormalized loss gradient for the cached forward pass into
+    /// `slot.delta`, returning the raw `f64` loss sum.
+    fn shard_loss(
+        &self,
+        idx: &[usize],
+        weighted: Option<(&[f32], f32)>,
+        slot: &mut ShardScratch,
+    ) -> f64 {
+        let ShardScratch { cache, delta, y_cls, y_reg, .. } = slot;
+        match self {
+            Head::Classifier { train, .. } => {
+                y_cls.clear();
+                y_cls.extend(idx.iter().map(|&i| train.y[i]));
+                match weighted {
+                    Some((w, mean_w)) => {
+                        cross_entropy_weighted_shard_into(cache.output(), y_cls, w, mean_w, delta)
+                    }
+                    None => cross_entropy_shard_into(cache.output(), y_cls, delta),
+                }
+            }
+            Head::Regressor { train, .. } => {
+                y_reg.clear();
+                y_reg.extend(idx.iter().map(|&i| train.y[i]));
+                mse_shard_into(cache.output(), y_reg, delta)
+            }
+        }
+    }
+
+    /// The validation metric of the gathered validation outputs.
+    fn metric(&self, out: &Matrix) -> f64 {
+        match self {
+            Head::Classifier { val, .. } => accuracy(out, &val.y),
+            Head::Regressor { val, .. } => mape(out, &val.y),
+        }
+    }
+
+    /// Whether `metric` beats `best`.
+    fn improves(&self, metric: f64, best: f64) -> bool {
+        match self {
+            Head::Classifier { .. } => metric > best,
+            Head::Regressor { .. } => metric < best,
+        }
+    }
+
+    /// Publishes an epoch's mean training loss and validation metric. Each
+    /// head keeps its own `gauge!` call sites: a call site caches its
+    /// handle in a `static`, so one shared site would write both heads
+    /// into whichever name it resolved first.
+    fn record_epoch(&self, loss: f64, metric: f64) {
+        match self {
+            Head::Classifier { .. } => {
+                obs::gauge!("train.classifier_loss").set(loss);
+                obs::gauge!("train.val_accuracy").set(metric);
+            }
+            Head::Regressor { .. } => {
+                obs::gauge!("train.regressor_loss").set(loss);
+                obs::gauge!("train.val_mape").set(metric);
+            }
+        }
+    }
+}
+
+/// One sharded gradient step over `batch` (indices into the training
+/// set): shard forwards, losses and raw backward sums on the pool,
+/// fixed-order reduction into `grads`, mean batch loss returned.
+fn batch_step(
     mlp: &Mlp,
     wt: &[Matrix],
-    train: &RegressionData,
+    head: &Head,
     batch: &[usize],
     pool: &Pool,
     shards: &mut [ShardScratch],
@@ -351,6 +410,8 @@ fn regressor_batch_step(
 ) -> f32 {
     let rows = batch.len();
     let s_count = grad_shards(rows);
+    let weighted = head.batch_weights(batch);
+    let (x, _) = head.inputs();
     {
         let slots = ShardSlots::new(&mut shards[..s_count]);
         pool.run(s_count, &|s| {
@@ -358,12 +419,10 @@ fn regressor_batch_step(
             let slot = unsafe { &mut *slots.slot_ptr(s) };
             let (lo, hi) = shard_span(rows, s_count, s);
             let idx = &batch[lo..hi];
-            train.x.select_rows_into(idx, slot.cache.input_mut());
-            slot.y_reg.clear();
-            slot.y_reg.extend(idx.iter().map(|&i| train.y[i]));
+            x.select_rows_into(idx, slot.cache.input_mut());
             mlp.forward_transposed(wt, &mut slot.cache);
-            let ShardScratch { cache, delta, delta_tmp, grads, y_reg, loss, .. } = slot;
-            *loss = mse_shard_into(cache.output(), y_reg, delta);
+            slot.loss = head.shard_loss(idx, weighted, slot);
+            let ShardScratch { cache, delta, delta_tmp, grads, .. } = slot;
             mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
         });
     }
@@ -374,7 +433,7 @@ fn regressor_batch_step(
 
 /// Applies the reduced batch gradient, re-imposes the sparsity mask, and
 /// re-lays the updated weights into `wt` — the one place the training
-/// loops change weights, so the transposed copy every shard reads is never
+/// loop changes weights, so the transposed copy every shard reads is never
 /// stale.
 fn apply_step(
     mlp: &mut Mlp,
@@ -390,69 +449,102 @@ fn apply_step(
     mlp.transpose_weights_into(wt);
 }
 
-/// Trains `mlp` as a softmax classifier, early-stopping on validation
-/// accuracy and restoring the best weights.
-///
-/// # Panics
-///
-/// Panics if the model output width differs from `train.num_classes` or a
-/// dataset is empty.
-pub fn train_classifier(
+/// The one epoch loop behind [`train_classifier`] and [`train_regressor`]:
+/// shuffled minibatches through [`batch_step`], a validation pass per
+/// epoch, early stopping on the head's metric, and the best weights
+/// restored at the end.
+fn train_head(
     mlp: &mut Mlp,
-    train: &ClassificationData,
-    val: &ClassificationData,
-    config: &TrainConfig,
-) -> TrainReport {
-    train_classifier_masked(mlp, train, val, config, None)
-}
-
-/// [`train_classifier`] with an optional sparsity mask: weights the mask
-/// marks as frozen are re-zeroed after every optimizer step, so pruned
-/// models can be fine-tuned without losing their sparsity (used by the
-/// Section IV compression pipeline).
-///
-/// # Panics
-///
-/// As [`train_classifier`], plus if the mask does not match the model.
-pub fn train_classifier_masked(
-    mlp: &mut Mlp,
-    train: &ClassificationData,
-    val: &ClassificationData,
-    config: &TrainConfig,
-    mask: Option<&ZeroMask>,
-) -> TrainReport {
-    train_classifier_with(mlp, train, val, config, mask, &mut TrainScratch::new())
-}
-
-/// [`train_classifier_masked`] running through a caller-owned
-/// [`TrainScratch`], so repeated trainings (RFE rounds, ablations) reuse
-/// every epoch buffer. For a given seed the result is identical to the
-/// scratch-free entry points.
-///
-/// # Panics
-///
-/// As [`train_classifier_masked`].
-pub fn train_classifier_with(
-    mlp: &mut Mlp,
-    train: &ClassificationData,
-    val: &ClassificationData,
+    head: &Head,
     config: &TrainConfig,
     mask: Option<&ZeroMask>,
     scratch: &mut TrainScratch,
+    pool: &Pool,
 ) -> TrainReport {
-    train_classifier_parallel_with(mlp, train, val, config, mask, scratch, &Pool::serial())
+    let (train_x, val_x) = head.inputs();
+    let n = train_x.rows();
+    assert!(n > 0 && val_x.rows() > 0, "datasets must be non-empty");
+    let phase = match head {
+        Head::Classifier { .. } => "train.classifier",
+        Head::Regressor { .. } => "train.regressor",
+    };
+    let _scope = obs::scope!(phase, "{n} rows");
+    // Pre-register the shard counters so a serial run still exports them.
+    obs::counter!("train.grad_shards").inc(0);
+    obs::counter!("train.parallel_batches").inc(0);
+    let TrainScratch { indices, grads, val_out, shards, wt } = scratch;
+    let chunk = config.batch_size.max(1);
+    ensure_slots(shards, grad_shards(chunk.min(n)).max(grad_shards(val_x.rows())));
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut opt = Adam::new(config.lr);
+    // The incoming weights are a candidate too (essential when fine-tuning
+    // an already-useful model): training must never return something worse
+    // than what it started with.
+    mlp.transpose_weights_into(wt);
+    forward_gathered(mlp, wt, val_x, pool, shards, val_out);
+    let mut report = TrainReport {
+        train_loss: Vec::with_capacity(config.epochs),
+        val_metric: Vec::with_capacity(config.epochs),
+        best_metric: head.metric(val_out),
+        best_epoch: 0,
+    };
+    let mut best_weights = mlp.clone();
+    for epoch in 0..config.epochs {
+        let mut epoch_loss = 0.0f64;
+        // Reset to the identity permutation before shuffling so the batch
+        // sequence for a given seed matches the historical fresh-Vec
+        // implementation exactly.
+        indices.clear();
+        indices.extend(0..n);
+        indices.shuffle(&mut rng);
+        for batch in indices.chunks(chunk) {
+            let t0 = Instant::now();
+            let loss = batch_step(mlp, wt, head, batch, pool, shards, grads);
+            apply_step(mlp, &mut opt, grads, mask, wt);
+            epoch_loss += loss as f64;
+            obs::counter!("train.grad_shards").inc(grad_shards(batch.len()) as u64);
+            if pool.jobs() > 1 {
+                obs::counter!("train.parallel_batches").inc(1);
+            }
+            obs::histogram!("train.batch_latency_us").record(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        let mean_loss = epoch_loss / n.div_ceil(chunk) as f64;
+        report.train_loss.push(mean_loss as f32);
+        forward_gathered(mlp, wt, val_x, pool, shards, val_out);
+        let metric = head.metric(val_out);
+        report.val_metric.push(metric);
+        obs::counter!("train.epochs").inc(1);
+        head.record_epoch(mean_loss, metric);
+        if head.improves(metric, report.best_metric) {
+            report.best_metric = metric;
+            report.best_epoch = epoch;
+            best_weights.copy_weights_from(mlp);
+        } else if epoch - report.best_epoch >= config.patience {
+            obs::counter!("train.early_stops").inc(1);
+            break;
+        }
+    }
+    mlp.copy_weights_from(&best_weights);
+    report
 }
 
-/// [`train_classifier_with`] with the shard fan-out running on a
-/// caller-owned [`Pool`]. The trained model, report and every
-/// intermediate float are **byte-identical** to the serial entry points at
-/// any worker count: the shard partition depends only on the batch size
-/// and the reduction order is fixed (see the module docs).
+/// Trains `mlp` as a softmax classifier, early-stopping on validation
+/// accuracy and restoring the best weights.
+///
+/// With a `mask`, weights it marks as frozen are re-zeroed after every
+/// optimizer step, so a pruned model is fine-tuned without losing its
+/// sparsity (the Section IV compression pipeline). Every epoch buffer
+/// lives in `scratch`, so repeated trainings (RFE rounds, sweeps) reuse
+/// them, and the gradient shards fan out on `pool`: the trained model,
+/// the report and every intermediate float are **byte-identical** at any
+/// worker count, because the shard partition depends only on the batch
+/// size and the reduction order is fixed (see the module docs).
 ///
 /// # Panics
 ///
-/// As [`train_classifier_with`].
-pub fn train_classifier_parallel_with(
+/// Panics if the model output width differs from `train.num_classes`, a
+/// dataset is empty, or the mask does not match the model.
+pub fn train_classifier(
     mlp: &mut Mlp,
     train: &ClassificationData,
     val: &ClassificationData,
@@ -462,12 +554,7 @@ pub fn train_classifier_parallel_with(
     pool: &Pool,
 ) -> TrainReport {
     assert_eq!(mlp.output_size(), train.num_classes, "output width must equal class count");
-    assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
-    let _scope = obs::scope!("train.classifier", "{} rows", train.len());
-    // Pre-register the shard counters so a serial run still exports them.
-    obs::counter!("train.grad_shards").inc(0);
-    obs::counter!("train.parallel_batches").inc(0);
-    let class_weights: Option<Vec<f32>> = config.class_balance.then(|| {
+    let weights = config.class_balance.then(|| {
         let mut counts = vec![0usize; train.num_classes];
         for &l in &train.y {
             counts[l] += 1;
@@ -478,128 +565,18 @@ pub fn train_classifier_parallel_with(
             .map(|&c| (n / (train.num_classes as f32 * c.max(1) as f32)).clamp(0.25, 8.0))
             .collect()
     });
-    let TrainScratch { indices, grads, val_out, shards, wt } = scratch;
-    let chunk = config.batch_size.max(1);
-    ensure_slots(shards, grad_shards(chunk.min(train.len())).max(grad_shards(val.len())));
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut opt = Adam::new(config.lr);
-    // The incoming weights are a candidate too (essential when fine-tuning
-    // an already-useful model): training must never return something worse
-    // than what it started with.
-    mlp.transpose_weights_into(wt);
-    forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
-    let mut report = TrainReport {
-        train_loss: Vec::with_capacity(config.epochs),
-        val_metric: Vec::with_capacity(config.epochs),
-        best_metric: accuracy(val_out, &val.y),
-        best_epoch: 0,
-    };
-    let mut best_weights = mlp.clone();
-    for epoch in 0..config.epochs {
-        let mut epoch_loss = 0.0f64;
-        // Reset to the identity permutation before shuffling so the batch
-        // sequence for a given seed matches the historical fresh-Vec
-        // implementation exactly.
-        indices.clear();
-        indices.extend(0..train.len());
-        indices.shuffle(&mut rng);
-        let num_batches = train.len().div_ceil(chunk);
-        for batch in indices.chunks(chunk) {
-            let t0 = Instant::now();
-            let loss = classifier_batch_step(
-                mlp,
-                wt,
-                train,
-                batch,
-                class_weights.as_deref(),
-                pool,
-                shards,
-                grads,
-            );
-            apply_step(mlp, &mut opt, grads, mask, wt);
-            epoch_loss += loss as f64;
-            obs::counter!("train.grad_shards").inc(grad_shards(batch.len()) as u64);
-            if pool.jobs() > 1 {
-                obs::counter!("train.parallel_batches").inc(1);
-            }
-            obs::histogram!("train.batch_latency_us").record(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        report.train_loss.push((epoch_loss / num_batches as f64) as f32);
-        forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
-        let acc = accuracy(val_out, &val.y);
-        report.val_metric.push(acc);
-        obs::counter!("train.epochs").inc(1);
-        obs::gauge!("train.classifier_loss").set(epoch_loss / num_batches as f64);
-        obs::gauge!("train.val_accuracy").set(acc);
-        if acc > report.best_metric {
-            report.best_metric = acc;
-            report.best_epoch = epoch;
-            best_weights.copy_weights_from(mlp);
-        } else if epoch - report.best_epoch >= config.patience {
-            obs::counter!("train.early_stops").inc(1);
-            break;
-        }
-    }
-    mlp.copy_weights_from(&best_weights);
-    report
+    train_head(mlp, &Head::Classifier { train, val, weights }, config, mask, scratch, pool)
 }
 
-/// Trains `mlp` as a scalar regressor, early-stopping on validation MAPE and
-/// restoring the best weights.
+/// Trains `mlp` as a scalar regressor, early-stopping on validation MAPE
+/// and restoring the best weights. `mask`, `scratch` and `pool` work as in
+/// [`train_classifier`], with the same byte-identity at any worker count.
 ///
 /// # Panics
 ///
-/// Panics if a dataset is empty.
+/// Panics if a dataset is empty, no validation target is usable by
+/// [`mape`], or the mask does not match the model.
 pub fn train_regressor(
-    mlp: &mut Mlp,
-    train: &RegressionData,
-    val: &RegressionData,
-    config: &TrainConfig,
-) -> TrainReport {
-    train_regressor_masked(mlp, train, val, config, None)
-}
-
-/// [`train_regressor`] with an optional sparsity mask (see
-/// [`train_classifier_masked`]).
-///
-/// # Panics
-///
-/// As [`train_regressor`], plus if the mask does not match the model.
-pub fn train_regressor_masked(
-    mlp: &mut Mlp,
-    train: &RegressionData,
-    val: &RegressionData,
-    config: &TrainConfig,
-    mask: Option<&ZeroMask>,
-) -> TrainReport {
-    train_regressor_with(mlp, train, val, config, mask, &mut TrainScratch::new())
-}
-
-/// [`train_regressor_masked`] running through a caller-owned
-/// [`TrainScratch`] (see [`train_classifier_with`]).
-///
-/// # Panics
-///
-/// As [`train_regressor_masked`].
-pub fn train_regressor_with(
-    mlp: &mut Mlp,
-    train: &RegressionData,
-    val: &RegressionData,
-    config: &TrainConfig,
-    mask: Option<&ZeroMask>,
-    scratch: &mut TrainScratch,
-) -> TrainReport {
-    train_regressor_parallel_with(mlp, train, val, config, mask, scratch, &Pool::serial())
-}
-
-/// [`train_regressor_with`] on a caller-owned [`Pool`] — byte-identical
-/// to the serial entry points at any worker count (see
-/// [`train_classifier_parallel_with`]).
-///
-/// # Panics
-///
-/// As [`train_regressor_with`].
-pub fn train_regressor_parallel_with(
     mlp: &mut Mlp,
     train: &RegressionData,
     val: &RegressionData,
@@ -608,60 +585,7 @@ pub fn train_regressor_parallel_with(
     scratch: &mut TrainScratch,
     pool: &Pool,
 ) -> TrainReport {
-    assert!(!train.is_empty() && !val.is_empty(), "datasets must be non-empty");
-    let _scope = obs::scope!("train.regressor", "{} rows", train.len());
-    obs::counter!("train.grad_shards").inc(0);
-    obs::counter!("train.parallel_batches").inc(0);
-    let TrainScratch { indices, grads, val_out, shards, wt } = scratch;
-    let chunk = config.batch_size.max(1);
-    ensure_slots(shards, grad_shards(chunk.min(train.len())).max(grad_shards(val.len())));
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut opt = Adam::new(config.lr);
-    // As in the classifier: the incoming weights are the first candidate.
-    mlp.transpose_weights_into(wt);
-    forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
-    let mut report = TrainReport {
-        train_loss: Vec::with_capacity(config.epochs),
-        val_metric: Vec::with_capacity(config.epochs),
-        best_metric: mape(val_out, &val.y),
-        best_epoch: 0,
-    };
-    let mut best_weights = mlp.clone();
-    for epoch in 0..config.epochs {
-        let mut epoch_loss = 0.0f64;
-        indices.clear();
-        indices.extend(0..train.len());
-        indices.shuffle(&mut rng);
-        let num_batches = train.len().div_ceil(chunk);
-        for batch in indices.chunks(chunk) {
-            let t0 = Instant::now();
-            let loss = regressor_batch_step(mlp, wt, train, batch, pool, shards, grads);
-            apply_step(mlp, &mut opt, grads, mask, wt);
-            epoch_loss += loss as f64;
-            obs::counter!("train.grad_shards").inc(grad_shards(batch.len()) as u64);
-            if pool.jobs() > 1 {
-                obs::counter!("train.parallel_batches").inc(1);
-            }
-            obs::histogram!("train.batch_latency_us").record(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        report.train_loss.push((epoch_loss / num_batches as f64) as f32);
-        forward_gathered(mlp, wt, &val.x, pool, shards, val_out);
-        let m = mape(val_out, &val.y);
-        report.val_metric.push(m);
-        obs::counter!("train.epochs").inc(1);
-        obs::gauge!("train.regressor_loss").set(epoch_loss / num_batches as f64);
-        obs::gauge!("train.val_mape").set(m);
-        if m < report.best_metric {
-            report.best_metric = m;
-            report.best_epoch = epoch;
-            best_weights.copy_weights_from(mlp);
-        } else if epoch - report.best_epoch >= config.patience {
-            obs::counter!("train.early_stops").inc(1);
-            break;
-        }
-    }
-    mlp.copy_weights_from(&best_weights);
-    report
+    train_head(mlp, &Head::Regressor { train, val }, config, mask, scratch, pool)
 }
 
 #[cfg(test)]
@@ -699,6 +623,25 @@ mod tests {
         RegressionData::new(x, y)
     }
 
+    /// An unmasked training on a fresh scratch, shards run inline.
+    fn serial_classifier(
+        mlp: &mut Mlp,
+        train: &ClassificationData,
+        val: &ClassificationData,
+        cfg: &TrainConfig,
+    ) -> TrainReport {
+        train_classifier(mlp, train, val, cfg, None, &mut TrainScratch::new(), &Pool::serial())
+    }
+
+    fn serial_regressor(
+        mlp: &mut Mlp,
+        train: &RegressionData,
+        val: &RegressionData,
+        cfg: &TrainConfig,
+    ) -> TrainReport {
+        train_regressor(mlp, train, val, cfg, None, &mut TrainScratch::new(), &Pool::serial())
+    }
+
     #[test]
     fn classifier_learns_separable_classes() {
         let data = toy_classification(300, 1);
@@ -706,7 +649,7 @@ mod tests {
         let (train, val) = data.split(0.25, &mut rng);
         let mut mlp = Mlp::new(&[2, 16, 3], &mut rng);
         let cfg = TrainConfig { epochs: 120, ..TrainConfig::default() };
-        let report = train_classifier(&mut mlp, &train, &val, &cfg);
+        let report = serial_classifier(&mut mlp, &train, &val, &cfg);
         assert!(
             report.best_metric > 0.9,
             "separable classes should reach >90% accuracy, got {:.3}",
@@ -721,7 +664,7 @@ mod tests {
         let (train, val) = data.split(0.25, &mut rng);
         let mut mlp = Mlp::new(&[2, 16, 1], &mut rng);
         let cfg = TrainConfig { epochs: 200, ..TrainConfig::default() };
-        let report = train_regressor(&mut mlp, &train, &val, &cfg);
+        let report = serial_regressor(&mut mlp, &train, &val, &cfg);
         assert!(
             report.best_metric < 5.0,
             "linear map MAPE should be <5%, got {:.2}",
@@ -736,7 +679,7 @@ mod tests {
         let (train, val) = data.split(0.3, &mut rng);
         let mut mlp = Mlp::new(&[2, 8, 3], &mut rng);
         let cfg = TrainConfig { epochs: 60, patience: 5, ..TrainConfig::default() };
-        let report = train_classifier(&mut mlp, &train, &val, &cfg);
+        let report = serial_classifier(&mut mlp, &train, &val, &cfg);
         // The restored model's validation accuracy equals the best metric.
         let final_acc = accuracy(&mlp.forward(&val.x), &val.y);
         assert!((final_acc - report.best_metric).abs() < 1e-9);
@@ -757,12 +700,13 @@ mod tests {
 
         let mut warm = TrainScratch::new();
         let mut warm_reg = Mlp::new(&[2, 6, 1], &mut StdRng::seed_from_u64(12));
-        train_regressor_with(&mut warm_reg, &rtrain, &rval, &cfg, None, &mut warm);
+        train_regressor(&mut warm_reg, &rtrain, &rval, &cfg, None, &mut warm, &Pool::serial());
 
         let mut fresh_mlp = Mlp::new(&[2, 8, 3], &mut StdRng::seed_from_u64(13));
         let mut warm_mlp = fresh_mlp.clone();
-        let fresh_report = train_classifier(&mut fresh_mlp, &train, &val, &cfg);
-        let warm_report = train_classifier_with(&mut warm_mlp, &train, &val, &cfg, None, &mut warm);
+        let fresh_report = serial_classifier(&mut fresh_mlp, &train, &val, &cfg);
+        let warm_report =
+            train_classifier(&mut warm_mlp, &train, &val, &cfg, None, &mut warm, &Pool::serial());
         assert_eq!(fresh_mlp, warm_mlp);
         assert_eq!(fresh_report, warm_report);
     }
@@ -774,7 +718,7 @@ mod tests {
         let (train, val) = data.split(0.2, &mut rng);
         let mut mlp = Mlp::new(&[2, 12, 1], &mut rng);
         let cfg = TrainConfig { epochs: 80, ..TrainConfig::default() };
-        let report = train_regressor(&mut mlp, &train, &val, &cfg);
+        let report = serial_regressor(&mut mlp, &train, &val, &cfg);
         let first = report.train_loss[0];
         let last = *report.train_loss.last().unwrap();
         assert!(last < first * 0.5, "loss should at least halve: {first} -> {last}");
@@ -798,7 +742,8 @@ mod tests {
         mlp.transpose_weights_into(wt);
         let order: Vec<usize> = (0..train.len()).collect();
         for (step, batch) in order.chunks(16).cycle().take(12).enumerate() {
-            classifier_batch_step(&mlp, wt, &train, batch, None, &pool, shards, grads);
+            let head = Head::Classifier { train: &train, val: &train, weights: None };
+            batch_step(&mlp, wt, &head, batch, &pool, shards, grads);
             apply_step(&mut mlp, &mut opt, grads, Some(&mask), wt);
             assert_eq!(mlp.nonzero_weights(), mask.nonzero_count(), "step {step}");
             for (l, (layer, t)) in mlp.layers().iter().zip(wt.iter()).enumerate() {
@@ -835,16 +780,9 @@ mod tests {
             let cfg = TrainConfig { epochs: 4, batch_size, ..TrainConfig::default() };
             let init = Mlp::new(&[2, 8, 3], &mut StdRng::seed_from_u64(23));
             let mut serial = init.clone();
-            let serial_report = train_classifier_with(
-                &mut serial,
-                &train,
-                &val,
-                &cfg,
-                None,
-                &mut TrainScratch::new(),
-            );
+            let serial_report = serial_classifier(&mut serial, &train, &val, &cfg);
             let mut parallel = init.clone();
-            let parallel_report = train_classifier_parallel_with(
+            let parallel_report = train_classifier(
                 &mut parallel,
                 &train,
                 &val,
@@ -872,45 +810,15 @@ mod tests {
         let init_reg = Mlp::new(&[2, 10, 1], &mut StdRng::seed_from_u64(35));
         let mut serial_cls = init_cls.clone();
         let mut serial_reg = init_reg.clone();
-        let sc = train_classifier_with(
-            &mut serial_cls,
-            &train,
-            &val,
-            &cfg,
-            None,
-            &mut TrainScratch::new(),
-        );
-        let sr = train_regressor_with(
-            &mut serial_reg,
-            &rtrain,
-            &rval,
-            &cfg,
-            None,
-            &mut TrainScratch::new(),
-        );
+        let sc = serial_classifier(&mut serial_cls, &train, &val, &cfg);
+        let sr = serial_regressor(&mut serial_reg, &rtrain, &rval, &cfg);
         for jobs in [2usize, 4, 7] {
             let pool = Pool::new(jobs);
             let mut scratch = TrainScratch::new();
             let mut par_cls = init_cls.clone();
-            let pc = train_classifier_parallel_with(
-                &mut par_cls,
-                &train,
-                &val,
-                &cfg,
-                None,
-                &mut scratch,
-                &pool,
-            );
+            let pc = train_classifier(&mut par_cls, &train, &val, &cfg, None, &mut scratch, &pool);
             let mut par_reg = init_reg.clone();
-            let pr = train_regressor_parallel_with(
-                &mut par_reg,
-                &rtrain,
-                &rval,
-                &cfg,
-                None,
-                &mut scratch,
-                &pool,
-            );
+            let pr = train_regressor(&mut par_reg, &rtrain, &rval, &cfg, None, &mut scratch, &pool);
             assert_eq!(serial_cls, par_cls, "classifier diverged at {jobs} workers");
             assert_eq!(sc, pc, "classifier report diverged at {jobs} workers");
             assert_eq!(serial_reg, par_reg, "regressor diverged at {jobs} workers");

@@ -9,8 +9,8 @@ use dvfs_baselines::{run_oracle, FlemmaConfig, FlemmaGovernor, PcstallConfig, Pc
 use gpu_sim::{DvfsGovernor, GpuConfig, SimResult, Simulation, StaticGovernor, Time};
 use gpu_workloads::by_name;
 use ssmdvfs::{
-    generate, train_combined, DataGenConfig, DvfsDataset, FeatureSet, ModelArch, SsmdvfsConfig,
-    SsmdvfsGovernor,
+    generate_workload_jobs, train_combined_jobs, DataGenConfig, DvfsDataset, FeatureSet, ModelArch,
+    SsmdvfsConfig, SsmdvfsGovernor,
 };
 use tinynn::TrainConfig;
 
@@ -38,15 +38,17 @@ fn main() {
     let mut dataset = DvfsDataset::default();
     for train_name in ["sgemm", "lbm", "hotspot", "srad"].iter().filter(|n| **n != name) {
         let b = by_name(train_name).expect("training benchmark exists").scaled(0.1);
-        dataset.extend(generate(&b, &cfg, &DataGenConfig::default()));
+        let dg = DataGenConfig::default();
+        dataset.extend(generate_workload_jobs(b.name(), b.workload().clone(), &cfg, &dg, 0));
     }
-    let (model, _) = train_combined(
+    let (model, _) = train_combined_jobs(
         &dataset,
         &FeatureSet::refined(),
         &ModelArch::paper_full(),
         cfg.vf_table.len(),
         &TrainConfig { epochs: 120, ..TrainConfig::default() },
         0.25,
+        1,
     );
 
     let base = run(&cfg, &bench, &mut StaticGovernor::default_point(&cfg.vf_table));

@@ -9,8 +9,8 @@
 use gpu_sim::{GpuConfig, Simulation, Time};
 use gpu_workloads::by_name;
 use ssmdvfs::{
-    compress_and_finetune, estimate_asic, generate, train_combined, AsicConfig, DataGenConfig,
-    DvfsDataset, FeatureSet, ModelArch, SsmdvfsConfig, SsmdvfsGovernor,
+    compress_and_finetune_jobs, estimate_asic, generate_workload_jobs, train_combined_jobs,
+    AsicConfig, DataGenConfig, DvfsDataset, FeatureSet, ModelArch, SsmdvfsConfig, SsmdvfsGovernor,
 };
 use tinynn::TrainConfig;
 
@@ -18,12 +18,13 @@ fn main() {
     let cfg = GpuConfig::small_test();
     let dg = DataGenConfig::default();
 
-    // 1. Data generation (Fig. 2): a few training benchmarks, scaled down.
+    // 1. Data generation (Fig. 2): a few training benchmarks, scaled down,
+    // with the replays on one worker per core.
     println!("== 1. data generation ==");
     let mut dataset = DvfsDataset::default();
     for name in ["sgemm", "lbm", "hotspot", "srad"] {
         let bench = by_name(name).expect("benchmark exists").scaled(0.1);
-        let part = generate(&bench, &cfg, &dg);
+        let part = generate_workload_jobs(bench.name(), bench.workload().clone(), &cfg, &dg, 0);
         println!("  {name}: {} samples", part.len());
         dataset.extend(part);
     }
@@ -31,13 +32,14 @@ fn main() {
     // 2. Train the combined Decision-maker + Calibrator.
     println!("== 2. training ==");
     let train_cfg = TrainConfig { epochs: 120, ..TrainConfig::default() };
-    let (model, summary) = train_combined(
+    let (model, summary) = train_combined_jobs(
         &dataset,
         &FeatureSet::refined(),
         &ModelArch::paper_full(),
         cfg.vf_table.len(),
         &train_cfg,
         0.25,
+        1,
     );
     println!(
         "  decision accuracy {:.1}%, calibrator MAPE {:.1}%, {} FLOPs",
@@ -48,7 +50,7 @@ fn main() {
 
     // 3. Compress: two-stage pruning at the paper's (0.6, 0.9) + fine-tune.
     println!("== 3. compression ==");
-    let compressed = compress_and_finetune(&model, &dataset, 0.6, 0.9, &train_cfg);
+    let compressed = compress_and_finetune_jobs(&model, &dataset, 0.6, 0.9, &train_cfg, 1);
     println!(
         "  {} -> {} FLOPs ({:.1}% reduction)",
         model.flops(),

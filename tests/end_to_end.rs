@@ -5,8 +5,8 @@
 use gpu_sim::{GpuConfig, Simulation, StaticGovernor, Time};
 use gpu_workloads::by_name;
 use ssmdvfs::{
-    compress_and_finetune, estimate_asic, generate, train_combined, AsicConfig, DataGenConfig,
-    DvfsDataset, FeatureSet, ModelArch, SsmdvfsConfig, SsmdvfsGovernor,
+    compress_and_finetune_jobs, estimate_asic, generate_workload_jobs, train_combined_jobs,
+    AsicConfig, DataGenConfig, DvfsDataset, FeatureSet, ModelArch, SsmdvfsConfig, SsmdvfsGovernor,
 };
 use tinynn::TrainConfig;
 
@@ -17,16 +17,24 @@ fn pipeline() -> (GpuConfig, ssmdvfs::CombinedModel, DvfsDataset) {
     let mut dataset = DvfsDataset::default();
     for name in ["sgemm", "lbm", "hotspot"] {
         let bench = by_name(name).expect("training benchmark exists").scaled(0.08);
-        dataset.extend(generate(&bench, &cfg, &DataGenConfig::default()));
+        let dg = DataGenConfig::default();
+        dataset.extend(generate_workload_jobs(
+            bench.name(),
+            bench.workload().clone(),
+            &cfg,
+            &dg,
+            0,
+        ));
     }
     assert!(dataset.len() > 50, "datagen must produce a useful corpus");
-    let (model, summary) = train_combined(
+    let (model, summary) = train_combined_jobs(
         &dataset,
         &FeatureSet::refined(),
         &ModelArch::paper_full(),
         cfg.vf_table.len(),
         &TrainConfig { epochs: 80, ..TrainConfig::default() },
         0.25,
+        1,
     );
     assert!(
         summary.decision_accuracy > 0.4,
@@ -74,12 +82,13 @@ fn ssmdvfs_improves_edp_on_held_out_memory_bound_work() {
 #[test]
 fn compression_preserves_control_quality() {
     let (cfg, model, dataset) = pipeline();
-    let compressed = compress_and_finetune(
+    let compressed = compress_and_finetune_jobs(
         &model,
         &dataset,
         0.6,
         0.9,
         &TrainConfig { epochs: 40, ..TrainConfig::default() },
+        1,
     );
     assert!(
         compressed.sparse_flops() * 2 < model.flops(),
@@ -107,20 +116,22 @@ fn asic_estimate_is_negligible_against_the_epoch_and_tdp() {
     // Follow the paper's full compression pipeline: layer-wise compression
     // (retrain at the 12-neuron architecture) before the two-stage pruning.
     let (cfg, _, dataset) = pipeline();
-    let (small, _) = train_combined(
+    let (small, _) = train_combined_jobs(
         &dataset,
         &FeatureSet::refined(),
         &ModelArch::paper_compressed(),
         cfg.vf_table.len(),
         &TrainConfig { epochs: 60, ..TrainConfig::default() },
         0.25,
+        1,
     );
-    let compressed = compress_and_finetune(
+    let compressed = compress_and_finetune_jobs(
         &small,
         &dataset,
         0.6,
         0.9,
         &TrainConfig { epochs: 20, ..TrainConfig::default() },
+        1,
     );
     let report = estimate_asic(
         &compressed,

@@ -4,7 +4,7 @@
 
 use gpu_sim::{BasicBlock, GpuConfig, InstrClass, KernelSpec, MemoryBehavior, Time, Workload};
 use proptest::prelude::*;
-use ssmdvfs::{generate_suite, generate_with_jobs, generate_workload_jobs, DataGenConfig};
+use ssmdvfs::{generate_suite_with, generate_workload_jobs, DataGenConfig, SuiteOptions};
 
 /// A small workload whose shape (size, mix, memory behaviour) is drawn
 /// from the strategy inputs.
@@ -28,7 +28,7 @@ fn workload(iterations: u32, ctas: usize, mem_heavy: bool) -> Workload {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole guarantee: `generate_workload` is byte-identical for
+    /// The core guarantee: `generate_workload_jobs` is byte-identical for
     /// any worker count. Replays are deterministic given the breakpoint
     /// snapshot, and assembly is order-preserving, so nothing may differ.
     #[test]
@@ -55,7 +55,7 @@ proptest! {
 
 #[test]
 fn suite_fanout_matches_per_benchmark_generation() {
-    // generate_suite pools every benchmark's replays into one global job
+    // generate_suite_with pools every benchmark's replays into one global job
     // list; each benchmark's slice of the output must still equal an
     // isolated sequential run of that benchmark.
     let cfg = GpuConfig::small_test();
@@ -68,10 +68,12 @@ fn suite_fanout_matches_per_benchmark_generation() {
         .iter()
         .map(|n| gpu_workloads::by_name(n).expect("suite benchmark").scaled(0.05))
         .collect();
-    let pooled = generate_suite(&benches, &cfg, &dg, 4);
+    let pooled = generate_suite_with(&benches, &cfg, &dg, &SuiteOptions::new(4))
+        .expect("a sweep without a replay cache cannot fail")
+        .datasets;
     assert_eq!(pooled.len(), benches.len());
     for (bench, pooled_part) in benches.iter().zip(&pooled) {
-        let isolated = generate_with_jobs(bench, &cfg, &dg, 1);
+        let isolated = generate_workload_jobs(bench.name(), bench.workload().clone(), &cfg, &dg, 1);
         assert_eq!(&isolated, pooled_part, "suite fan-out changed the dataset of {}", bench.name());
     }
     assert!(pooled.iter().any(|d| !d.is_empty()), "the suite must produce samples");

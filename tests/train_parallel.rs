@@ -1,18 +1,16 @@
 //! Property tests for the data-parallel training engine: the trained model
 //! must be byte-identical to sequential SGD at any worker count, for any
-//! model shape, batch size or dataset — the determinism contract of
-//! `train_classifier_parallel_with` / `train_regressor_parallel_with`.
+//! model shape, batch size, dataset or sparsity mask — the determinism
+//! contract of `train_classifier` / `train_regressor`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use tinynn::{
-    grad_shards, shard_span, train_classifier_parallel_with, train_classifier_with,
-    train_regressor_parallel_with, train_regressor_with, ClassificationData, Matrix, Mlp, Pool,
-    RegressionData, TrainConfig, TrainScratch,
+    grad_shards, prune_magnitude, shard_span, train_classifier, train_regressor,
+    ClassificationData, Matrix, Mlp, Pool, RegressionData, TrainConfig, TrainScratch, ZeroMask,
 };
-
 /// A seeded random classification set (the vendored proptest has no
 /// `prop_flat_map` for dimension-dependent collections, so dimensions are
 /// drawn as inputs and the data derived from a seed).
@@ -35,11 +33,29 @@ fn random_regression(n: usize, features: usize, seed: u64) -> RegressionData {
     RegressionData::new(Matrix::from_vec(n, features, data), y)
 }
 
+/// A seeded model magnitude-pruned at `prune`, and the mask that keeps its
+/// zeros frozen while it trains.
+fn pruned_init(sizes: &[usize], prune: f32, seed: u64) -> (Mlp, ZeroMask) {
+    let mut init = Mlp::new(sizes, &mut StdRng::seed_from_u64(seed));
+    prune_magnitude(&mut init, prune);
+    let mask = ZeroMask::from_zeros(&init);
+    (init, mask)
+}
+
+/// Whether `mlp` has no non-zero weight where `mask` froze one.
+fn respects(mlp: &Mlp, mask: &ZeroMask) -> bool {
+    let mut remasked = mlp.clone();
+    mask.apply(&mut remasked);
+    &remasked == mlp
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sharded parallel classifier training reproduces sequential SGD
-    /// byte-for-byte across random shapes, batch sizes and worker counts.
+    /// Sharded parallel classifier training under a sparsity mask
+    /// reproduces sequential SGD byte-for-byte across random shapes, batch
+    /// sizes, prune fractions and worker counts, and never revives a
+    /// pruned weight.
     #[test]
     fn parallel_classifier_is_byte_identical(
         seed in any::<u64>(),
@@ -49,6 +65,7 @@ proptest! {
         hidden in 4usize..14,
         batch_size in 1usize..40,
         balance in any::<bool>(),
+        prune in 0.0f32..0.9,
     ) {
         let train = random_classification(samples, features, classes, seed);
         let val = random_classification(samples / 2 + 4, features, classes, seed ^ 0x9E37);
@@ -60,19 +77,27 @@ proptest! {
             class_balance: balance,
             ..TrainConfig::default()
         };
-        let init = Mlp::new(&[features, hidden, classes], &mut StdRng::seed_from_u64(seed ^ 7));
+        let (init, mask) = pruned_init(&[features, hidden, classes], prune, seed ^ 7);
         let mut serial = init.clone();
-        let serial_report =
-            train_classifier_with(&mut serial, &train, &val, &cfg, None, &mut TrainScratch::new());
+        let serial_report = train_classifier(
+            &mut serial,
+            &train,
+            &val,
+            &cfg,
+            Some(&mask),
+            &mut TrainScratch::new(),
+            &Pool::serial(),
+        );
+        prop_assert!(respects(&serial, &mask), "a pruned weight came back");
         for jobs in [1usize, 2, 4, 7] {
             let pool = Pool::new(jobs);
             let mut parallel = init.clone();
-            let report = train_classifier_parallel_with(
+            let report = train_classifier(
                 &mut parallel,
                 &train,
                 &val,
                 &cfg,
-                None,
+                Some(&mask),
                 &mut TrainScratch::new(),
                 &pool,
             );
@@ -89,6 +114,7 @@ proptest! {
         features in 2usize..6,
         hidden in 4usize..14,
         batch_size in 1usize..40,
+        prune in 0.0f32..0.9,
     ) {
         let train = random_regression(samples, features, seed);
         let val = random_regression(samples / 2 + 4, features, seed ^ 0x9E37);
@@ -99,19 +125,27 @@ proptest! {
             seed: seed ^ 0xABCD,
             ..TrainConfig::default()
         };
-        let init = Mlp::new(&[features, hidden, 1], &mut StdRng::seed_from_u64(seed ^ 7));
+        let (init, mask) = pruned_init(&[features, hidden, 1], prune, seed ^ 7);
         let mut serial = init.clone();
-        let serial_report =
-            train_regressor_with(&mut serial, &train, &val, &cfg, None, &mut TrainScratch::new());
-        for jobs in [2usize, 4, 7] {
+        let serial_report = train_regressor(
+            &mut serial,
+            &train,
+            &val,
+            &cfg,
+            Some(&mask),
+            &mut TrainScratch::new(),
+            &Pool::serial(),
+        );
+        prop_assert!(respects(&serial, &mask), "a pruned weight came back");
+        for jobs in [1usize, 2, 4, 7] {
             let pool = Pool::new(jobs);
             let mut parallel = init.clone();
-            let report = train_regressor_parallel_with(
+            let report = train_regressor(
                 &mut parallel,
                 &train,
                 &val,
                 &cfg,
-                None,
+                Some(&mask),
                 &mut TrainScratch::new(),
                 &pool,
             );
